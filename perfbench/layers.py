@@ -14,7 +14,7 @@ import os
 from contextlib import ExitStack, contextmanager
 from typing import Iterator, List, Optional
 
-from spantrace import SpanTracer, Target
+from spantrace import SpanTracer, Target, patched
 
 from repro.core.address_cache import RemoteAddressCache
 from repro.core.pinned_table import PinnedAddressTable
@@ -139,7 +139,5 @@ def traced(tracer: SpanTracer) -> Iterator[SpanTracer]:
         for cls, name, fn in ((Runtime, "run", traced_run),
                               (Runtime, "spawn", traced_spawn),
                               (Simulator, "process", traced_process)):
-            original = vars(cls)[name]
-            setattr(cls, name, fn)
-            stack.callback(setattr, cls, name, original)
+            stack.enter_context(patched(cls, name, fn))
         yield tracer

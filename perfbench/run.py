@@ -25,6 +25,7 @@ import os
 import platform
 import resource
 import statistics
+import subprocess
 import sys
 from time import perf_counter
 from typing import Dict, List, Tuple
@@ -44,6 +45,9 @@ END_TO_END: List[Tuple[str, str]] = [
 #: vary with the inputs, not with the host; pooling several input sets
 #: per run narrows their spread across ``--seed`` values.
 INPUT_SETS = 3
+
+#: Passes of the host-speed reference loop before each repetition.
+LOOPS_PER_REP = 6
 
 #: The rate sweep's p99 latency limit (µs) and the mean per-client
 #: arrival gaps it offers (µs), lightest load first.
@@ -106,25 +110,15 @@ def stamp(workload) -> Dict[str, str]:
 
 
 def _git_sha() -> str:
-    """HEAD's commit id when the checkout is a git work tree."""
-    git = os.path.join(ROOT, ".git")
+    """HEAD's commit id when the checkout is a git work tree (git looks
+    no further up than the checkout)."""
+    env = dict(os.environ, GIT_CEILING_DIRECTORIES=os.path.dirname(ROOT))
     try:
-        with open(os.path.join(git, "HEAD"), encoding="utf-8") as fh:
-            head = fh.read().strip()
-        if not head.startswith("ref: "):
-            return head
-        ref = head[5:]
-        path = os.path.join(git, ref)
-        if os.path.exists(path):
-            with open(path, encoding="utf-8") as fh:
-                return fh.read().strip()
-        with open(os.path.join(git, "packed-refs"), encoding="utf-8") as fh:
-            for line in fh:
-                if line.rstrip().endswith(" " + ref):
-                    return line.split()[0]
-    except OSError:
-        pass
-    return "unknown"
+        out = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, env=env,
+                             capture_output=True, text=True, timeout=10)
+    except (OSError, subprocess.SubprocessError):
+        return "unknown"
+    return out.stdout.strip() if out.returncode == 0 else "unknown"
 
 
 def input_seeds(seed: int) -> List[int]:
@@ -138,18 +132,26 @@ def measure(workload, seed: int, seconds: float):
     ran once and one ran twice, then until ``seconds`` have passed.
 
     Returns the repetitions (each with the request count its input set
-    holds), the first repetition of each input set, and the failed
-    checks: every output is checked against its reference and every
-    repeated input set must reproduce its first repetition exactly.
+    holds), the first repetition of each input set, the set-up times of
+    the repetitions and of ``workload.setup_reps`` setup-only runs
+    before each, the factor that scales this run's host times to the
+    nominal host (:mod:`hostspeed`, timed before each repetition), and
+    the failed checks: every output is checked against its reference
+    and every repeated input set must reproduce its first repetition
+    exactly.
     """
+    from hostspeed import reference_loop_s, scale_factor
     seeds = input_seeds(seed)
     refs = {s: workload.reference(s) for s in seeds}
-    reps, first, errors = [], {}, []
+    reps, first, setups, loops, errors = [], {}, [], [], []
     t0 = perf_counter()
     while len(reps) <= len(seeds) or perf_counter() - t0 < seconds:
         s = seeds[len(reps) % len(seeds)]
         expected, ops = refs[s]
+        loops += [reference_loop_s() for _ in range(LOOPS_PER_REP)]
+        setups += [workload.setup(s) for _ in range(workload.setup_reps)]
         rep = workload.run(s, expected=expected)
+        setups.append(rep.setup_s)
         errors += rep.errors
         if s not in first:
             first[s] = rep
@@ -159,18 +161,21 @@ def measure(workload, seed: int, seconds: float):
         rep.rt = None   # keep one runtime alive at a time
         reps.append((ops, rep))
         gc.collect()
-    return reps, [first[s] for s in seeds], errors
+    scale = scale_factor(loops)
+    return reps, [first[s] for s in seeds], setups, scale, errors
 
 
-def end_to_end(reps, firsts) -> Dict[str, float]:
-    """Host metrics are medians over all repetitions; simulated metrics
-    come from one repetition of each input set, latency quantiles from
-    all their requests pooled."""
+def end_to_end(reps, firsts, setups, scale: float) -> Dict[str, float]:
+    """Host metrics are medians scaled to the nominal host:
+    ``ops_per_s`` over all repetitions, ``setup_s`` over all set-up
+    times; simulated metrics come from one repetition of each input
+    set, latency quantiles from all their requests pooled."""
     import numpy as np
     lat = np.concatenate([r.latency_us for r in firsts])
     out = {
-        "ops_per_s": statistics.median(ops / r.run_s for ops, r in reps),
-        "setup_s": statistics.median(r.setup_s for _, r in reps),
+        "ops_per_s": statistics.median(ops / r.run_s for ops, r in reps)
+        / scale,
+        "setup_s": statistics.median(setups) * scale,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
         / 1024.0,
         "virtual_us": statistics.median(r.virtual_us for r in firsts),
@@ -341,14 +346,17 @@ def main(argv=None) -> int:
             workload, args.seed, args.seconds)
         units = dict(_layer_metrics())
     else:
-        reps, firsts, errors = measure(workload, args.seed, args.seconds)
-        metrics = end_to_end(reps, firsts)
+        reps, firsts, setups, scale, errors = measure(
+            workload, args.seed, args.seconds)
+        metrics = end_to_end(reps, firsts, setups, scale)
         units = dict(END_TO_END)
         attempted = sum(ops for ops, _ in reps)
         failed = sum(r.failed for _, r in reps)
         for ops, rep in reps:
             print(f"# repetition: {ops} ops, setup {rep.setup_s:.4f} s, "
                   f"run {rep.run_s:.4f} s")
+        print(f"# host-speed scale: {scale:.4f} (host times below are "
+              f"multiplied by it)")
     for name, value in metrics.items():
         print(f"{name} {value:.6g} {units[name]}")
     print(f"failed_frac {failed / attempted:.6g}")

@@ -27,13 +27,25 @@ from __future__ import annotations
 import functools
 import inspect
 from collections import defaultdict
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from time import perf_counter
 from types import GeneratorType
 from typing import Callable, Dict, Iterable, Iterator, List, Tuple
 
 #: One patch: (class, attribute name, layer name).
 Target = Tuple[type, str, str]
+
+
+@contextmanager
+def patched(cls: type, name: str, fn) -> Iterator:
+    """Replace the attribute ``name`` that ``cls`` defines with ``fn``
+    for the duration of the ``with`` block; the block gets the original."""
+    original = vars(cls)[name]
+    setattr(cls, name, fn)
+    try:
+        yield original
+    finally:
+        setattr(cls, name, original)
 
 
 class SpanTracer:
@@ -151,19 +163,14 @@ class SpanTracer:
     @contextmanager
     def installed(self, targets: Iterable[Target]) -> Iterator["SpanTracer"]:
         """Patch every target for the duration of the ``with`` block."""
-        saved = []
-        try:
+        with ExitStack() as stack:
             for cls, name, layer in targets:
                 if name not in vars(cls):
                     raise AttributeError(
                         f"{cls.__qualname__} defines no {name!r} to trace")
-                original = vars(cls)[name]
-                saved.append((cls, name, original))
-                setattr(cls, name, self.wrap(original, layer))
+                stack.enter_context(
+                    patched(cls, name, self.wrap(vars(cls)[name], layer)))
             yield self
-        finally:
-            for cls, name, original in reversed(saved):
-                setattr(cls, name, original)
 
     def shares(self) -> Dict[str, float]:
         """Each layer's self time as a share of all traced time."""

@@ -10,8 +10,9 @@ import pytest
 import run as bench
 from layers import traced
 from spantrace import SpanTracer
-from workloads import (GET, PUT, WORKLOADS, KVParams, _check_kv, _KVRecord,
-                       encode, field_reference, pointer_reference, run_kv)
+from workloads import (GET, PUT, WORKLOADS, KVParams, Rep, _check_kv,
+                       _KVRecord, encode, field_reference, pointer_reference,
+                       run_kv)
 
 from repro.network import GM_MARENOSTRUM
 from repro.workloads.dis.field import FieldParams, run_field
@@ -69,14 +70,31 @@ def test_kv_check_flags_wrong_stale_and_future_values():
     snapshot = {0: encode(0, 1), 1: encode(1, 0)}
     good = [_record(PUT, 0, version=1, issue=1.0, done=2.0),
             _record(GET, 0, encode(0, 1), issue=1.5, done=3.0),
+            _record(GET, 0, encode(0, 0), issue=1.5, done=3.0),
+            _record(GET, 0, encode(0, 1), issue=2.5, done=3.0),
             _record(GET, 1, encode(1, 0))]
     assert _check_kv(p, good, snapshot) == (0, [])
     wrong_key = good + [_record(GET, 1, encode(0, 1))]
     assert _check_kv(p, wrong_key, snapshot)[0] == 1
     future = good + [_record(GET, 0, encode(0, 1), issue=0.0, done=0.5)]
     assert _check_kv(p, future, snapshot)[0] == 1
+    # The preload read after a PUT to the key completed.
+    stale = good + [_record(GET, 0, encode(0, 0), issue=2.5, done=3.0)]
+    assert _check_kv(p, stale, snapshot)[0] == 1
     failed, errors = _check_kv(p, good, {0: encode(0, 0), 1: encode(1, 0)})
     assert failed == 0 and "final store image" in errors[0]
+
+
+def test_kv_check_flags_a_superseded_write():
+    p = KVParams(nkeys=1)
+    snapshot = {0: encode(0, 2)}
+    writes = [_record(PUT, 0, version=1, issue=1.0, done=2.0),
+              _record(PUT, 0, version=2, issue=3.0, done=4.0)]
+    overlapping = writes + [_record(GET, 0, encode(0, 1), issue=2.5, done=5.0),
+                            _record(GET, 0, encode(0, 2), issue=2.5, done=5.0)]
+    assert _check_kv(p, overlapping, snapshot) == (0, [])
+    superseded = writes + [_record(GET, 0, encode(0, 1), issue=4.5, done=5.0)]
+    assert _check_kv(p, superseded, snapshot)[0] == 1
 
 
 def test_percentile_needs_ten_samples_beyond_it():
@@ -84,6 +102,14 @@ def test_percentile_needs_ten_samples_beyond_it():
     values = np.arange(10_000.0)[::-1]
     assert bench.percentile_with_tail(values, 0.999) == 9_989.0
     assert bench.percentile_with_tail(values, 0.5) == 4_999.0
+
+
+def test_host_metrics_are_scaled_to_the_nominal_host():
+    rep = Rep(setup_s=0.2, run_s=2.0, rt=None, virtual_us=5.0,
+              latency_us=np.arange(20_000.0), lateness_us=np.zeros(0),
+              failed=0, errors=[], fingerprint=())
+    out = bench.end_to_end([(1000, rep)], [rep], [0.2, 0.3, 0.2], scale=0.5)
+    assert out["ops_per_s"] == 1000.0 and out["setup_s"] == 0.1
 
 
 def test_benchmark_json_matches_the_reported_metrics():

@@ -11,6 +11,7 @@ benchmark computes on its own.
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_right
 from collections import defaultdict
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field, replace
@@ -19,6 +20,8 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+
+from spantrace import patched
 
 from repro.faults.reliability import ReliabilityError
 from repro.faults.trace import LinkTrace, make_trace
@@ -62,17 +65,24 @@ class Rep:
     fingerprint: tuple
 
 
+class SetupDone(Exception):
+    """Raised in place of :meth:`Runtime.run` by a setup-only probe."""
+
+
 class Probe:
     """Times :meth:`Runtime.run` and keeps the runtime it ran on.
 
     Given ``step_call``, it also stamps the virtual time at which every
     UPC thread completes a barrier or a call of that
     :class:`~repro.runtime.thread.UPCThread` method: the boundaries of
-    the kernel steps that are a DIS workload's requests.
+    the kernel steps that are a DIS workload's requests.  Given
+    ``setup_only``, it raises :class:`SetupDone` instead of running.
     """
 
-    def __init__(self, step_call: Optional[str] = None) -> None:
+    def __init__(self, step_call: Optional[str] = None,
+                 setup_only: bool = False) -> None:
         self.step_call = step_call
+        self.setup_only = setup_only
         self.rt: Optional[Runtime] = None
         self.t_start = self.t_end = 0.0
         #: thread id -> [(virtual µs, True if a barrier)] in order.
@@ -94,6 +104,8 @@ class Probe:
         def timed_run(rt, *args, **kwargs):
             self.rt = rt
             self.t_start = perf_counter()
+            if self.setup_only:
+                raise SetupDone
             try:
                 return run(rt, *args, **kwargs)
             finally:
@@ -108,8 +120,7 @@ class Probe:
                  self._stamped(vars(UPCThread)[self.step_call], False))]
         with ExitStack() as stack:
             for cls, name, fn in patches:
-                stack.callback(setattr, cls, name, vars(cls)[name])
-                setattr(cls, name, fn)
+                stack.enter_context(patched(cls, name, fn))
             yield self
 
     def step_latencies(self) -> np.ndarray:
@@ -225,9 +236,23 @@ class DISWorkload:
     #: The :class:`UPCThread` call that ends one kernel step (request).
     step_call: str
     kind: str = "dis"
+    #: Setup-only repetitions per full one: a setup takes a few tens of
+    #: ms, so one sample per full repetition leaves its median noisy.
+    setup_reps = 3
 
     def reference(self, seed: int) -> Tuple[tuple, int]:
         return self.recount(self.make_params(seed))
+
+    def setup(self, seed: int) -> float:
+        """Host seconds from the runner's call to :meth:`Runtime.run`."""
+        probe = Probe(setup_only=True)
+        t0 = perf_counter()
+        with probe.installed():
+            try:
+                self.runner(self.make_params(seed))
+            except SetupDone:
+                pass
+        return probe.t_start - t0
 
     def run(self, seed: int, events: Optional[EventLog] = None,
             expected: Optional[tuple] = None) -> Rep:
@@ -238,15 +263,14 @@ class DISWorkload:
         t0 = perf_counter()
         with probe.installed():
             result = self.runner(p)
-        t1 = perf_counter()
         errors = []
         failed = 0
         if expected is not None and result.check != expected:
             failed = sum(a != b for a, b in zip(result.check, expected))
             errors.append(f"functional check: {failed} of {len(expected)} "
                           f"threads differ from the NumPy reference")
-        run_s = probe.t_end - probe.t_start
-        return Rep(setup_s=(t1 - t0) - run_s, run_s=run_s, rt=probe.rt,
+        return Rep(setup_s=probe.t_start - t0,
+                   run_s=probe.t_end - probe.t_start, rt=probe.rt,
                    virtual_us=result.elapsed_us,
                    latency_us=probe.step_latencies(),
                    lateness_us=np.zeros(0), failed=failed, errors=errors,
@@ -265,6 +289,26 @@ _VERSION_BITS = 24
 
 #: Odd multiplier mapping Zipf popularity ranks to keys.
 _KEY_SCATTER = 2654435761
+
+#: Slots per hash bucket: at two keys per bucket on average, four
+#: slots leave room for uneven hashing.
+_SLOTS_PER_BUCKET = 4
+
+#: Zipf exponent of key popularity, the usual KV-cache skew.
+_ZIPF_S = 0.99
+
+#: Shares of PUTs and of multi_gets among requests (the rest are GETs):
+#: enough writes to contend on stripe locks beside a read-mostly mix,
+#: and enough multi_gets for the bulk engine to coalesce per home.
+_PUT_FRAC = 0.10
+_MGET_FRAC = 0.20
+
+#: Keys per multi_get.
+_MGET_KEYS = 4
+
+#: Every ``_RPC_EVERY``-th client reads over the RPC path, so one-sided
+#: and RPC reads queue on the same homes.
+_RPC_EVERY = 4
 
 #: Seeds of the ``flap`` traces whose links flap together in
 #: ``kv_lossy``, and the loss while a link is down: the same links flap
@@ -289,17 +333,10 @@ class KVParams:
     threads_per_node: int = 4
     nkeys: int = 4096
     nbuckets: int = 2048
-    slots_per_bucket: int = 4
     nlocks: int = 16
     requests_per_client: int = 400
     #: Mean gap between one client's arrivals (virtual µs).
     mean_gap_us: float = 70.0
-    zipf_s: float = 0.99
-    put_frac: float = 0.10
-    mget_frac: float = 0.20
-    mget_keys: int = 4
-    #: Every ``rpc_every``-th client reads over the RPC path.
-    rpc_every: int = 4
     #: Flapping links over the whole arrival window (see
     #: :func:`flapping_links`) under the ``disable_and_repair`` policy.
     lossy: bool = False
@@ -336,7 +373,7 @@ def kv_inputs(p: KVParams) -> KVInputs:
                    % p.nkeys)
     if len(set(rank_to_key.tolist())) != p.nkeys:
         raise ValueError("nkeys must be coprime with the key scatter")
-    weights = 1.0 / np.arange(1, p.nkeys + 1) ** p.zipf_s
+    weights = 1.0 / np.arange(1, p.nkeys + 1) ** _ZIPF_S
     cdf = np.cumsum(weights / weights.sum())
     next_version = np.ones(p.nkeys, dtype=np.int64)
     out = KVInputs([], [], [], [])
@@ -345,9 +382,9 @@ def kv_inputs(p: KVParams) -> KVInputs:
         crng = seeded_rng(p.seed, 0x4B56, c)
         out.due.append(np.sort(crng.uniform(0.0, n * p.mean_gap_us, n)))
         u = crng.random(n)
-        kind = np.where(u < p.put_frac, PUT,
-                        np.where(u < p.put_frac + p.mget_frac, MGET, GET))
-        ranks = np.minimum(np.searchsorted(cdf, crng.random((n, p.mget_keys))),
+        kind = np.where(u < _PUT_FRAC, PUT,
+                        np.where(u < _PUT_FRAC + _MGET_FRAC, MGET, GET))
+        ranks = np.minimum(np.searchsorted(cdf, crng.random((n, _MGET_KEYS))),
                            p.nkeys - 1)
         keys = rank_to_key[ranks]
         version = np.zeros(n, dtype=np.int64)
@@ -423,12 +460,12 @@ def run_kv(p: KVParams, events: Optional[EventLog] = None) -> Rep:
 
     def client(th):
         sim = th.runtime.sim
-        store = yield from kv_create(th, p.nbuckets, p.slots_per_bucket,
+        store = yield from kv_create(th, p.nbuckets, _SLOTS_PER_BUCKET,
                                      locks=locks)
         reader = store
-        if th.id % p.rpc_every == p.rpc_every - 1:
+        if th.id % _RPC_EVERY == _RPC_EVERY - 1:
             reader = KVStore(th.runtime, store.array, p.nbuckets,
-                             p.slots_per_bucket, locks=locks, access="rpc")
+                             _SLOTS_PER_BUCKET, locks=locks, access="rpc")
         for key in range(th.id, p.nkeys, p.nthreads):
             yield from store.put(th, key, encode(key, 0))
         yield from th.barrier()
@@ -478,39 +515,57 @@ def run_kv(p: KVParams, events: Optional[EventLog] = None) -> Rep:
 
 def _check_kv(p: KVParams, records: List[_KVRecord],
               snapshot: Dict[int, int]):
-    """Every read returns a value written for its key (the preload or
-    a PUT issued before the read completed); every key ends holding the
-    value of its last completed PUT (PUTs to a key serialize on the
-    key's stripe lock, so the last to complete wrote last)."""
-    put_issue: Dict[Tuple[int, int], float] = {}
-    last_put: Dict[int, Tuple[float, int]] = {}
-    unknown = set()
+    """Every read returns the value its key must hold, and every key
+    ends holding the value of its last completed PUT.
+
+    A read may return the value of the key's last PUT that completed
+    no later than the read was issued (the preload, version 0, when
+    there is none), or of a PUT that completed after that one and was
+    issued no later than the read completed: the writes it overlapped.
+    PUTs to a key serialize on the key's stripe lock, so the last to
+    complete wrote last.  A failed PUT may or may not have written, so
+    on its key any value written before the read completed passes and
+    the final value is not checked (the failure fails the run anyway).
+    """
+    puts: Dict[int, List[_KVRecord]] = defaultdict(list)
     for r in records:
-        if r.kind != PUT:
-            continue
-        key = r.keys[0]
-        put_issue[(key, r.version)] = r.issue
-        if not r.ok:
-            unknown.add(key)
-        elif r.done > last_put.get(key, (-1.0, 0))[0]:
-            last_put[key] = (r.done, r.version)
+        if r.kind == PUT:
+            puts[r.keys[0]].append(r)
+    for writes in puts.values():
+        writes.sort(key=lambda w: w.done)
+    done_at = {key: [w.done for w in writes] for key, writes in puts.items()}
+    by_version = {(key, w.version): w
+                  for key, writes in puts.items() for w in writes}
+    unknown = {key for key, writes in puts.items()
+               if not all(w.ok for w in writes)}
+
+    def allowed(key: int, version: int, read: _KVRecord) -> bool:
+        put = by_version.get((key, version))
+        if key in unknown:   # any value written before the read ended
+            return version == 0 or (put is not None
+                                    and put.issue <= read.done)
+        settled = bisect_right(done_at.get(key, ()), read.issue)
+        if version == (puts[key][settled - 1].version if settled else 0):
+            return True
+        return (put is not None and put.done > read.issue
+                and put.issue <= read.done)
+
     failed = sum(not r.ok for r in records)
     wrong = 0
     for r in records:
         if r.kind == PUT or not r.ok:
             continue
         for key, value in zip(r.keys, r.values):
-            version = value & ((1 << _VERSION_BITS) - 1)
             if (value == KV_MISSING or value >> _VERSION_BITS != key
-                    or (version and put_issue.get((key, version),
-                                                  float("inf")) > r.done)):
+                    or not allowed(key, value & ((1 << _VERSION_BITS) - 1),
+                                   r)):
                 wrong += 1
                 break
     errors = []
     if wrong:
-        errors.append(f"{wrong} reads returned a value not written for "
-                      f"their key")
-    expected = {k: encode(k, last_put.get(k, (0.0, 0))[1])
+        errors.append(f"{wrong} reads returned a value their key could not "
+                      f"hold")
+    expected = {k: encode(k, puts[k][-1].version if k in puts else 0)
                 for k in range(p.nkeys) if k not in unknown}
     stale = sum(snapshot.get(k) != v for k, v in expected.items())
     if stale or len(snapshot) != p.nkeys:
@@ -523,6 +578,9 @@ def _check_kv(p: KVParams, records: List[_KVRecord],
 class KVWorkload:
     params: KVParams
     kind: str = "kv"
+    #: A KV setup (store build and preload) takes most of a second and
+    #: ends inside :meth:`Runtime.run`; only full repetitions sample it.
+    setup_reps = 0
 
     def reference(self, seed: int) -> Tuple[None, int]:
         """Reads are checked against the run's own writes, so there is
