@@ -1,22 +1,24 @@
 """Lossy-fabric benchmark: repair-policy comparison under link traces.
 
 Drives the open-loop KV traffic harness
-(:mod:`repro.workloads.kv_traffic`) under time-evolving link
-degradation traces (:mod:`repro.faults.trace`) and compares the four
-repair policies (:mod:`repro.faults.policy`) on each trace shape:
+(:mod:`repro.workloads.kv_traffic`: UPC client threads calling
+``KVStore.get/put`` on the runtime) under time-evolving link
+degradation (:mod:`repro.faults.trace`) and compares the four repair
+policies (:mod:`repro.faults.policy`) on each trace shape.  Each shape
+degrades :data:`~repro.workloads.kv_traffic.SCENARIO_LINKS`
+independently seeded links over the whole arrival window
+(:func:`~repro.workloads.kv_traffic.scenario_trace`); losses,
+retransmits and repair actions are the runtime's own.
 
 * **per-policy FCT CDFs** (linkguardian-style): the full request
   population's flow-completion-time distribution, one CDF per
-  (shape, policy) cell, read straight off the fixed-edge log-binned
-  histograms so the curves are layout-invariant;
+  (shape, policy) cell, read off the fixed-edge log-binned histograms;
 * **tail gates**: under the flapping trace, ``disable_and_repair``
   (detour around the sick link while it is repaired) must beat
   ``do_nothing`` at p99 — and every shape must actually hurt the
   ``do_nothing`` arm relative to the healthy baseline;
-* an **invariance referee**: the same traced run merged from 1, 2 and
-  4 shards on both backends (inproc + mp) must produce bit-identical
-  histograms, per-client digests, per-link health totals and
-  policy-decision digests.
+* a **run-to-run identity referee**: the same traced run twice must
+  produce identical histograms, noisy links and policy decisions.
 
 Usage::
 
@@ -29,6 +31,7 @@ Output lands in ``BENCH_lossy_fabric.json``.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from typing import Dict, List, Optional, Tuple
@@ -39,22 +42,18 @@ from repro.campaign.artifacts import atomic_write_json
 from repro.campaign.gate import (BaselineError, GateMetric,
                                  check_baseline)
 from repro.faults.policy import POLICIES
-from repro.faults.trace import COMPRESSED_TRACE_KW, make_trace
 from repro.workloads.kv_traffic import (TrafficParams, TrafficResult,
                                         hist_cdf, hist_quantile,
-                                        run_kv_traffic)
+                                        run_kv_traffic, scenario_trace)
 
 FULL_SHAPES = ("flap", "burst", "degrade", "gray")
 QUICK_SHAPES = ("flap", "degrade", "gray")
-#: Per-run request counts sized so the traffic spans the trace horizon
-#: (32 clients x mean gap 2us -> ~625 requests per virtual ms).
-FULL_REQUESTS = 320_000       # ~20 ms of traffic, the full horizon
-QUICK_REQUESTS = 96_000       # ~6 ms against compressed traces
-REFEREE_REQUESTS = 24_000
-
-#: Quick mode compresses the trace shapes into the shorter traffic
-#: window (shared with the campaign's lossy cells).
-QUICK_TRACE_KW = COMPRESSED_TRACE_KW
+#: Per-run request counts: 32 clients at the default 70 µs gap offer
+#: ~460 requests per virtual ms, so full mode spans ~42 ms of traffic
+#: and quick mode ~14 ms (each trace spans the run's arrival window).
+FULL_REQUESTS = 19_200
+QUICK_REQUESTS = 6_400
+REFEREE_REQUESTS = 3_200
 
 
 def _row(res: TrafficResult, policy: str, wall_s: float) -> Dict:
@@ -63,8 +62,7 @@ def _row(res: TrafficResult, policy: str, wall_s: float) -> Dict:
     return {
         "policy": policy,
         "requests": res.requests,
-        "failures": sum(o["counts"]["failures"]
-                        for o in res.extra["run"].outputs),
+        "failures": res.failures,
         "hit_rate": round(res.hit_rate, 4),
         "p50_us": round(q["p50_us"], 3),
         "p99_us": round(q["p99_us"], 3),
@@ -75,47 +73,42 @@ def _row(res: TrafficResult, policy: str, wall_s: float) -> Dict:
     }
 
 
-def _params(requests: int, seed: int, trace_json: str = "",
-            policy: str = "") -> TrafficParams:
-    return TrafficParams(requests=requests, seed=seed, zipf_s=0.9,
-                         link_trace=trace_json, repair_policy=policy)
+def _params(requests: int, seed: int, shape: str = "", policy: str = "",
+            trace_seed: int = 0) -> TrafficParams:
+    p = TrafficParams(requests=requests, seed=seed, zipf_s=0.9)
+    if shape:
+        p.link_trace = scenario_trace(shape, p, trace_seed).to_json()
+        p.repair_policy = policy
+    return p
 
 
 def run_referee(seed: int = 13, trace_seed: int = 7) -> Dict:
-    """The same flapping traced run merged from 1/2/4 shards on both
-    backends must be bit-identical — histograms, digests, per-link
-    health and the policy-decision digest."""
-    tr = make_trace("flap", 8, trace_seed, **QUICK_TRACE_KW["flap"])
-    p = _params(REFEREE_REQUESTS, seed, tr.to_json(),
-                "disable_and_repair")
-    ref = run_kv_traffic(p, 1)
-    identical = True
-    legs = []
-    for nshards, mode in ((2, "inproc"), (4, "inproc"), (2, "mp")):
-        res = run_kv_traffic(p, nshards, mode=mode)
-        same = (np.array_equal(res.hist, ref.hist)
-                and res.digests == ref.digests
-                and res.extra["links"] == ref.extra["links"]
-                and (res.extra["policy"]["digest"]
-                     == ref.extra["policy"]["digest"]))
-        identical = identical and same
-        legs.append({"shards": nshards, "mode": mode,
-                     "identical": same})
+    """The same flapping traced run twice must be identical —
+    histograms, noisy links and the policy-decision digest."""
+    p = _params(REFEREE_REQUESTS, seed, "flap", "disable_and_repair",
+                trace_seed)
+    one = run_kv_traffic(p)
+    two = run_kv_traffic(p)
+    identical = (np.array_equal(one.hist, two.hist)
+                 and (one.requests, one.failures, one.now)
+                 == (two.requests, two.failures, two.now)
+                 and one.extra["noisy_links"] == two.extra["noisy_links"]
+                 and (one.extra["policy"]["digest"]
+                      == two.extra["policy"]["digest"]))
     return {
-        "requests": ref.requests,
-        "decisions": len(ref.extra["policy"]["decisions"]),
-        "legs": legs,
-        "identical_across_layouts": identical,
+        "requests": one.requests,
+        "decisions": len(one.extra["policy"]["decisions"]),
+        "identical_across_runs": identical,
     }
 
 
-def run_bench(quick: bool = False, nshards: int = 2, seed: int = 9,
+def run_bench(quick: bool = False, seed: int = 9,
               trace_seed: int = 7) -> Dict:
     shapes = QUICK_SHAPES if quick else FULL_SHAPES
     requests = QUICK_REQUESTS if quick else FULL_REQUESTS
 
     t0 = time.perf_counter()
-    healthy = run_kv_traffic(_params(requests, seed), nshards)
+    healthy = run_kv_traffic(_params(requests, seed))
     wall = time.perf_counter() - t0
     baseline = {
         "p50_us": round(hist_quantile(healthy.hist, 0.50), 3),
@@ -128,14 +121,11 @@ def run_bench(quick: bool = False, nshards: int = 2, seed: int = 9,
 
     results: Dict[str, List[Dict]] = {}
     for shape in shapes:
-        kw = QUICK_TRACE_KW[shape] if quick else {}
-        tr = make_trace(shape, 8, trace_seed, **kw)
-        trace_json = tr.to_json()
         rows = []
         for policy in POLICIES:
-            p = _params(requests, seed, trace_json, policy)
+            p = _params(requests, seed, shape, policy, trace_seed)
             t0 = time.perf_counter()
-            res = run_kv_traffic(p, nshards)
+            res = run_kv_traffic(p)
             row = _row(res, policy, time.perf_counter() - t0)
             rows.append(row)
             print(f"  {shape:8s} {policy:20s} "
@@ -147,17 +137,18 @@ def run_bench(quick: bool = False, nshards: int = 2, seed: int = 9,
         results[shape] = rows
 
     referee = run_referee(trace_seed=trace_seed)
-    print(f"  referee: {referee['requests']} requests x "
-          f"{len(referee['legs']) + 1} layouts, identical="
-          f"{referee['identical_across_layouts']}")
+    print(f"  referee: {referee['requests']} requests x 2 runs, "
+          f"identical={referee['identical_across_runs']}")
+    p0 = TrafficParams()
     return {
         "bench": "lossy_fabric",
         "mode": "quick" if quick else "full",
+        "cpus": len(os.sched_getaffinity(0)),
         "workload": {
-            "nnodes": 8,
-            "nclients": 32,
+            "nnodes": p0.nnodes,
+            "nclients": p0.nclients,
+            "mean_gap_us": p0.mean_gap_us,
             "requests_per_cell": requests,
-            "shards": nshards,
             "seed": seed,
             "trace_seed": trace_seed,
             "shapes": list(shapes),
@@ -165,14 +156,14 @@ def run_bench(quick: bool = False, nshards: int = 2, seed: int = 9,
         },
         "baseline": baseline,
         "results": results,
-        "invariance": referee,
+        "identity": referee,
     }
 
 
 def _policy_benefit(doc: Dict) -> List[Tuple[str, float]]:
     """do_nothing p99 / disable_and_repair p99 per shape: how much the
     repair policy buys at the tail.  Dimensionless — but quick mode
-    runs compressed traces, so it is only comparable within a mode."""
+    runs shorter traces, so it is only comparable within a mode."""
     out = []
     for shape, rows in sorted(doc.get("results", {}).items()):
         by = {r["policy"]: r for r in rows}
@@ -184,9 +175,9 @@ def _policy_benefit(doc: Dict) -> List[Tuple[str, float]]:
 
 
 #: ``--baseline`` regression gate (shared machinery in
-#: repro.campaign.gate).  Quick and full mode run different traces
-#: (compressed vs full horizon), so the metric is skipped with a note
-#: when the modes differ rather than compared across them.
+#: repro.campaign.gate).  Quick and full mode run different traffic
+#: windows, so the metric is skipped with a note when the modes differ
+#: rather than compared across them.
 GATE_METRICS = (
     GateMetric("policy_benefit_p99", _policy_benefit,
                skip_cross_mode=True),
@@ -196,8 +187,8 @@ GATE_METRICS = (
 def check(report: Dict) -> List[str]:
     """Self-consistency gates (run in both modes)."""
     problems = []
-    if not report["invariance"]["identical_across_layouts"]:
-        problems.append("traced run differs across shard layouts")
+    if not report["identity"]["identical_across_runs"]:
+        problems.append("the same traced run gave different results")
     base_p99 = report["baseline"]["p99_us"]
     for shape, rows in report["results"].items():
         by = {r["policy"]: r for r in rows}
@@ -227,8 +218,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                     help="reduced scale for CI smoke")
     ap.add_argument("--out", default="BENCH_lossy_fabric.json",
                     help="where to write the JSON report")
-    ap.add_argument("--shards", type=int, default=2,
-                    help="shard count for the measured runs")
     ap.add_argument("--seed", type=int, default=9)
     ap.add_argument("--trace-seed", type=int, default=7)
     ap.add_argument("--baseline", default=None,
@@ -239,8 +228,8 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     print(f"lossy-fabric benchmark "
           f"({'quick' if args.quick else 'full'} scale)")
-    report = run_bench(quick=args.quick, nshards=args.shards,
-                       seed=args.seed, trace_seed=args.trace_seed)
+    report = run_bench(quick=args.quick, seed=args.seed,
+                       trace_seed=args.trace_seed)
     atomic_write_json(args.out, report)
     print(f"wrote {args.out}")
 

@@ -17,7 +17,6 @@ from repro.network import GM_MARENOSTRUM
 from repro.obs import EventLog
 from repro.workloads import FieldParams, run_field
 from repro.workloads.kv_traffic import TrafficParams, run_kv_traffic
-from repro.workloads.sharded import run_field_sharded
 
 #: Field stressmark sized to a few thousand remote ops.
 _PARAMS = dict(machine=GM_MARENOSTRUM, nthreads=16, threads_per_node=4,
@@ -67,67 +66,31 @@ def test_recording_overhead(benchmark):
     assert r["recorded"] > 0
 
 
-def test_sharded_recording_overhead(benchmark):
-    """Same bar for the sharded core: per-shard recorders on must not
-    add a single simulator event to any shard, nor move virtual time."""
-    def measure():
-        t0 = time.perf_counter()
-        off = run_field_sharded(32, 2, ntokens=4, probes=2)
-        off_wall = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        on = run_field_sharded(32, 2, ntokens=4, probes=2, trace=True)
-        on_wall = time.perf_counter() - t0
-        return {"off": off, "on": on, "off_wall": off_wall,
-                "on_wall": on_wall,
-                "recorded": sum(len(b) for b in on["run"].shard_events)}
-
-    r = benchmark.pedantic(measure, rounds=1, iterations=1)
-    off, on = r["off"], r["on"]
-    inflation = (on["events"] - off["events"]) / off["events"]
-    print()
-    print("sharded flight-recorder overhead (field, 32 threads "
-          "/ 2 shards):")
-    print(f"  {'mode':>10} {'sim_events':>11} {'now_us':>12} "
-          f"{'wall_s':>8}")
-    for name, res, wall in (("trace off", off, r["off_wall"]),
-                            ("trace on", on, r["on_wall"])):
-        print(f"  {name:>10} {res['events']:>11d} "
-              f"{res['now']:>12.1f} {wall:>8.3f}")
-    print(f"  recording-on event inflation: {inflation:.2%} "
-          f"(bar: < 5%); {r['recorded']} events captured when on")
-    assert inflation < 0.05
-    assert on["events"] == off["events"]
-    assert on["now"] == off["now"]
-    assert on["digest"] == off["digest"]
-    assert r["recorded"] > 0
-    assert not any(off["run"].shard_events)
-
-
-def test_kv_traffic_slo_overhead(benchmark):
-    """KV service leg: op spans plus the streaming SLO monitor on must
-    leave the traffic run bit-identical (events, time, digests)."""
+def test_kv_traffic_obs_overhead(benchmark):
+    """Real-path KV leg: the runtime's flight recorder plus the
+    streaming SLO monitor on must leave the traffic run bit-identical
+    (events, virtual time, histograms, counts)."""
     p_off = TrafficParams(requests=5000)
     p_on = TrafficParams(requests=5000, slo_target_us=30.0,
                          slo_window_us=500.0)
 
     def measure():
         t0 = time.perf_counter()
-        off = run_kv_traffic(p_off, 2)
+        off = run_kv_traffic(p_off)
         off_wall = time.perf_counter() - t0
         t0 = time.perf_counter()
-        on = run_kv_traffic(p_on, 2, trace=True)
+        on = run_kv_traffic(p_on, trace=True)
         on_wall = time.perf_counter() - t0
         return {"off": off, "on": on, "off_wall": off_wall,
                 "on_wall": on_wall,
-                "recorded": sum(len(b)
-                                for b in on.extra["run"].shard_events)}
+                "recorded": len(on.extra["events"])}
 
     r = benchmark.pedantic(measure, rounds=1, iterations=1)
     off, on = r["off"], r["on"]
     inflation = (on.events - off.events) / off.events
     print()
-    print("kv traffic obs overhead (5000 requests / 2 shards, "
-          "spans + SLO monitor on):")
+    print("kv traffic obs overhead (5000 requests, 32 clients / 8 "
+          "nodes, recorder + SLO monitor on):")
     print(f"  {'mode':>10} {'sim_events':>11} {'now_us':>12} "
           f"{'wall_s':>8}")
     for name, res, wall in (("obs off", off, r["off_wall"]),
@@ -140,7 +103,8 @@ def test_kv_traffic_slo_overhead(benchmark):
     assert inflation < 0.05
     assert on.events == off.events
     assert on.now == off.now
-    assert on.digests == off.digests
     assert (on.hist == off.hist).all()
+    assert (on.requests, on.hits, on.misses) \
+        == (off.requests, off.hits, off.misses)
     assert r["recorded"] > 0 and nwin > 0
-    assert "slo" not in off.extra
+    assert "slo" not in off.extra and "events" not in off.extra

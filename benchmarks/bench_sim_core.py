@@ -47,18 +47,11 @@ from repro.campaign.gate import check_baseline as shared_check_baseline
 from repro.network.params import GM_MARENOSTRUM
 from repro.sim.resource import Resource
 from repro.sim.simulator import Simulator
-from repro.workloads.sharded import (field_nnodes, run_field_reference,
-                                     run_field_sharded)
 
 #: MareNostrum blades: four threads share one NIC (section 4.6).
 THREADS_PER_NODE = 4
 
 THREAD_SWEEP = (64, 256, 1024)
-
-#: Sharded Field leg: thread counts for the 1->N shard scaling row and
-#: the big sweep rows (full mode only; the 10k–100k-thread territory).
-SHARD_SCALING_THREADS = {True: 256, False: 1024}
-SHARD_SWEEP_THREADS = (4096, 16384)
 
 #: The fixed mix: (ntokens, boundary probes per token).
 FULL_MIX = (8, 4)
@@ -191,101 +184,11 @@ def measure(nthreads: int, ntokens: int, probes: int,
     }
 
 
-# ---------------------------------------------------------------------------
-# Sharded PDES leg: aggregate throughput + referee identity
-# ---------------------------------------------------------------------------
-
 def _cpus() -> int:
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # pragma: no cover - non-Linux
         return os.cpu_count() or 1
-
-
-def measure_sharded(nthreads: int, nshards: int, ntokens: int,
-                    probes: int, reference: Optional[Dict]) -> Dict:
-    """One sharded Field run (mp backend for ``nshards > 1``); when a
-    pooled ``reference`` result is supplied, assert the merged trace,
-    digests and clock are bit-identical to it."""
-    mode = "inproc" if nshards == 1 else "mp"
-    res = run_field_sharded(nthreads, nshards, ntokens=ntokens,
-                            probes=probes, mode=mode)
-    run = res["run"]
-    identical = None
-    if reference is not None:
-        identical = (res["trace"] == reference["trace"]
-                     and res["field"] == reference["field"]
-                     and res["digest"] == reference["digest"]
-                     and res["now"] == reference["now"])
-        assert identical, (
-            f"nt={nthreads} shards={nshards}: sharded run diverged "
-            "from the pooled reference")
-    return {
-        "nthreads": nthreads,
-        "shards": nshards,
-        "mode": mode,
-        "events": run.events,
-        "final_clock_us": res["now"],
-        "wall_s": round(run.wall_s, 6),
-        "aggregate_events_per_sec": round(run.events_per_sec),
-        "sync_rounds": run.rounds,
-        "msgs_routed": run.msgs_routed,
-        "channel_bytes": sum(m.channel_bytes for m in run.metrics),
-        "stall_grains": sum(m.stall_grains for m in run.metrics),
-        "identical_to_reference": identical,
-    }
-
-
-def run_sharded_leg(quick: bool,
-                    max_shards: Optional[int] = None) -> Dict:
-    """Shard-scaling rows at the mix's scaling thread count, plus the
-    big-thread sweep rows (full mode) at the largest shard count."""
-    ntokens, probes = QUICK_MIX if quick else FULL_MIX
-    nthreads = SHARD_SCALING_THREADS[quick]
-    top = max_shards or (2 if quick else 4)
-    counts = sorted({c for c in (1, 2, 4, top)
-                     if c <= min(top, field_nnodes(nthreads))})
-    reference = run_field_reference(nthreads, ntokens=ntokens,
-                                    probes=probes)
-    rows = []
-    for s in counts:
-        r = measure_sharded(nthreads, s, ntokens, probes, reference)
-        rows.append(r)
-        print(f"  field nt={nthreads:5d} shards={s}: "
-              f"{r['events']:8d} events  "
-              f"{r['aggregate_events_per_sec']:>9,} ev/s  "
-              f"rounds={r['sync_rounds']:4d}  "
-              f"referee={'ok' if r['identical_to_reference'] else '??'}")
-    if not quick:
-        for nt in SHARD_SWEEP_THREADS:
-            r = measure_sharded(nt, counts[-1], ntokens, probes, None)
-            rows.append(r)
-            print(f"  field nt={nt:5d} shards={counts[-1]}: "
-                  f"{r['events']:8d} events  "
-                  f"{r['aggregate_events_per_sec']:>9,} ev/s  "
-                  f"rounds={r['sync_rounds']:4d}")
-    cpus = _cpus()
-    # The "aggregate ev/s rises 1 -> N shards" claim needs one core
-    # per shard; on smaller hosts the mp backend time-slices and the
-    # sync rounds are pure overhead, so the check records itself as
-    # skipped rather than asserting something the hardware cannot show.
-    scaling_checked = cpus >= counts[-1] and len(counts) > 1
-    scaling_ok = None
-    if scaling_checked:
-        first = next(r for r in rows if r["shards"] == counts[0])
-        last = next(r for r in rows
-                    if r["shards"] == counts[-1]
-                    and r["nthreads"] == nthreads)
-        scaling_ok = (last["aggregate_events_per_sec"]
-                      > first["aggregate_events_per_sec"])
-    return {
-        "scaling_nthreads": nthreads,
-        "shard_counts": counts,
-        "cpus": cpus,
-        "results": rows,
-        "scaling_checked": scaling_checked,
-        "scaling_ok": scaling_ok,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -361,8 +264,7 @@ def run_determinism(corpus_path: str = CORPUS) -> Dict:
 # ---------------------------------------------------------------------------
 
 def run_bench(quick: bool = False,
-              repeats: Optional[int] = None,
-              max_shards: Optional[int] = None) -> Dict:
+              repeats: Optional[int] = None) -> Dict:
     ntokens, probes = QUICK_MIX if quick else FULL_MIX
     if repeats is None:
         repeats = 2 if quick else 3
@@ -374,7 +276,6 @@ def run_bench(quick: bool = False,
               f"pooled={r['pooled_events_per_sec']:>9,} ev/s  "
               f"legacy={r['legacy_events_per_sec']:>9,} ev/s  "
               f"speedup={r['speedup']:.2f}x")
-    sharded = run_sharded_leg(quick, max_shards=max_shards)
     determinism = run_determinism()
     print(f"  determinism: corpus={determinism['corpus']} "
           f"jsonl_identical={determinism['identical_jsonl']} "
@@ -384,9 +285,8 @@ def run_bench(quick: bool = False,
                        if r["nthreads"] == 256)
     # Throughput trend across the sweep: events/sec at the largest
     # thread count relative to the smallest.  A per-event core should
-    # hold this near (or above) 1.0; a slide below it is the scaling
-    # pathology the sharded core exists to attack, so the baseline
-    # gate tracks it explicitly.
+    # hold this near (or above) 1.0; a slide below it is a scaling
+    # pathology, so the baseline gate tracks it explicitly.
     eps_trend = (results[-1]["pooled_events_per_sec"]
                  / results[0]["pooled_events_per_sec"])
     return {
@@ -404,7 +304,6 @@ def run_bench(quick: bool = False,
         "results": results,
         "speedup_256": speedup_256,
         "pooled_eps_trend": round(eps_trend, 3),
-        "sharded": sharded,
         "determinism": determinism,
     }
 
@@ -461,14 +360,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                     help="committed BENCH_sim_core.json to gate against")
     ap.add_argument("--repeats", type=int, default=None,
                     help="wall-clock repeats per (threads, core) cell")
-    ap.add_argument("--shards", type=int, default=None,
-                    help="largest shard count for the sharded Field "
-                         "leg (default: 2 quick, 4 full)")
     args = ap.parse_args(argv)
 
     print(f"sim-core benchmark ({'quick' if args.quick else 'full'} mix)")
-    report = run_bench(quick=args.quick, repeats=args.repeats,
-                       max_shards=args.shards)
+    report = run_bench(quick=args.quick, repeats=args.repeats)
     atomic_write_json(args.out, report)
     print(f"wrote {args.out}")
 
@@ -483,22 +378,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"FAIL: 256-thread speedup {report['speedup_256']:.2f}x "
               "< 2x target")
         rc = 1
-    sharded = report["sharded"]
-    if any(r["identical_to_reference"] is False
-           for r in sharded["results"]):
-        print("FAIL: a sharded Field run diverged from the pooled "
-              "reference")
-        rc = 1
-    if sharded["scaling_checked"] and not sharded["scaling_ok"]:
-        print(f"FAIL: aggregate ev/s did not rise "
-              f"{sharded['shard_counts'][0]} -> "
-              f"{sharded['shard_counts'][-1]} shards on "
-              f"{sharded['cpus']} cpus")
-        rc = 1
-    elif not sharded["scaling_checked"]:
-        print(f"  note: shard-scaling throughput check skipped "
-              f"({sharded['cpus']} cpu(s) < "
-              f"{sharded['shard_counts'][-1]} shards)")
     if args.baseline:
         try:
             problems = check_baseline(report, args.baseline)
@@ -525,10 +404,6 @@ def test_sim_core_quick():
     assert det["oracle_divergences"] == 0
     for r in report["results"]:
         assert r["identical_schedule"]
-    # Every sharded row that was refereed must have matched (the
-    # assertion inside measure_sharded already fired otherwise).
-    assert all(r["identical_to_reference"] in (True, None)
-               for r in report["sharded"]["results"])
     # Loose wall-clock floor (CI machines are noisy); the committed
     # full-mode run carries the >= 2x evidence.
     assert report["speedup_256"] > 1.0

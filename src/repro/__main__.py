@@ -147,27 +147,7 @@ def run_main(argv) -> int:
                              "disable_and_repair", "path_failover"),
                     help="repair policy acting on per-link health "
                          "(needs --link-trace or --fault-profile)")
-    ap.add_argument("--shards", type=int, default=None, metavar="N",
-                    help="run on the sharded PDES core with N shards "
-                         "(field only; one worker process per shard, "
-                         "see docs/PERFORMANCE.md)")
-    ap.add_argument("--shard-backend", default=None,
-                    choices=("mp", "inproc"),
-                    help="sharded-core backend (default: mp for N>1)")
     args = ap.parse_args(argv)
-
-    if args.shards is not None:
-        if args.workload != "field":
-            ap.error("--shards currently applies to the field "
-                     "stressmark only (the other stressmarks exercise "
-                     "full-runtime protocol paths that span shard "
-                     "boundaries; they run on the pooled core)")
-        if args.fault_profile is not None or args.link_trace is not None:
-            ap.error("--shards excludes --fault-profile/--link-trace "
-                     "(the fault plane lives in the pooled runtime's "
-                     "transport; use 'python -m repro kvtraffic "
-                     "--link-trace' for the sharded core)")
-        return _run_sharded_field(args)
 
     fault_plan = None
     if args.fault_profile is not None:
@@ -220,47 +200,6 @@ def run_main(argv) -> int:
     if args.repair_policy:
         print(f"  policy {args.repair_policy}: {m.policy_actions} "
               f"action(s), {m.kv_failover_ops} kv failover op(s)")
-    return 0
-
-
-def _run_sharded_field(args) -> int:
-    """``python -m repro run field --shards N`` — the Field mix on the
-    sharded PDES core, with the per-shard metric rollups."""
-    from repro.runtime.metrics import RuntimeMetrics
-    from repro.workloads.sharded import field_nnodes, run_field_sharded
-
-    if args.shards < 1:
-        raise SystemExit("--shards must be >= 1")
-    nnodes = field_nnodes(args.nthreads)
-    if args.shards > nnodes:
-        raise SystemExit(
-            f"--shards {args.shards} exceeds the {nnodes} node(s) of a "
-            f"{args.nthreads}-thread field run")
-    mode = args.shard_backend or ("inproc" if args.shards == 1 else "mp")
-    ntokens, probes = (3, 2) if args.quick else (8, 4)
-    t0 = time.time()
-    res = run_field_sharded(args.nthreads, args.shards,
-                            ntokens=ntokens, probes=probes,
-                            machine=args.machine, mode=mode)
-    run = res["run"]
-    metrics = RuntimeMetrics()
-    metrics.attach_shards(run.metrics)
-    s = metrics.shard_summary()
-    print(f"run field --shards {args.shards} ({mode}): "
-          f"{res['now']:.1f} virtual us, {run.events} sim events, "
-          f"{run.events_per_sec:,.0f} ev/s aggregate "
-          f"({time.time() - t0:.1f}s)")
-    print(f"  sync: {s['sync_rounds']} rounds, "
-          f"{s['sync_stall_grains']} stall grains, "
-          f"{s['channel_msgs']} cross-shard msgs, "
-          f"{s['channel_bytes']:,} channel bytes")
-    for m in run.metrics:
-        d = m.as_dict()
-        print(f"  shard {d['shard']}: nodes {d['nodes'][0]}.."
-              f"{d['nodes'][1] - 1}, {d['events']} events, "
-              f"backlog {d['max_backlog']}, "
-              f"clock {d['final_clock_us']:.1f} us, "
-              f"busy {d['busy_s']:.3f}s")
     return 0
 
 
@@ -343,22 +282,21 @@ def fuzz_main(argv) -> int:
 
 
 def kvtraffic_main(argv) -> int:
-    """``python -m repro kvtraffic`` — open-loop Zipfian KV traffic on
-    the sharded core; prints SLO quantiles and the cache hit rate."""
+    """``python -m repro kvtraffic`` — open-loop Zipfian KV traffic
+    from UPC client threads on the runtime; prints FCT quantiles and
+    the address-cache hit rate."""
     from repro.workloads.kv_traffic import TrafficParams, run_kv_traffic
 
     ap = argparse.ArgumentParser(
         prog="python -m repro kvtraffic",
-        description="Open-loop Zipfian/Poisson KV service traffic on "
-                    "the sharded event core (see docs/SERVICE.md).")
-    ap.add_argument("--requests", type=int, default=100_000,
+        description="Open-loop Zipfian/Poisson KV service traffic: UPC "
+                    "client threads calling KVStore get/put on the "
+                    "runtime (see docs/SERVICE.md).")
+    ap.add_argument("--requests", type=int,
+                    default=TrafficParams.requests,
                     help="total requests across all clients")
     ap.add_argument("--skew", type=float, default=0.9,
                     help="Zipf exponent s (default 0.9)")
-    ap.add_argument("--shards", type=int, default=1)
-    ap.add_argument("--shard-backend", choices=("inproc", "mp"),
-                    default="inproc",
-                    help="sharded-core backend (default inproc)")
     ap.add_argument("--nclients", type=int, default=32)
     ap.add_argument("--nnodes", type=int, default=8)
     ap.add_argument("--seed", type=int, default=0)
@@ -386,9 +324,8 @@ def kvtraffic_main(argv) -> int:
     ap.add_argument("--trace-dir", default=None, metavar="DIR",
                     help="arm the flight recorder and write run "
                          "artifacts (events.jsonl, trace.json, "
-                         "slo.json, shard_summary.json) here — "
-                         "feed the directory to 'python -m repro "
-                         "report'")
+                         "slo.json, links.json) here — feed the "
+                         "directory to 'python -m repro report'")
     args = ap.parse_args(argv)
 
     link_trace = None
@@ -411,15 +348,17 @@ def kvtraffic_main(argv) -> int:
                                   if link_trace is not None else ""),
                       repair_policy=args.repair_policy or "")
     t0 = time.time()
-    res = run_kv_traffic(p, args.shards, mode=args.shard_backend,
-                         trace=args.trace_dir is not None)
+    try:
+        res = run_kv_traffic(p, trace=args.trace_dir is not None)
+    except ValueError as exc:
+        ap.error(str(exc))
     q = res.quantiles()
-    print(f"kvtraffic s={args.skew} shards={args.shards}: "
-          f"{res.requests} requests ({res.gets} get / {res.puts} put), "
-          f"hit rate {res.hit_rate:.3f}, {res.conns} connections")
+    print(f"kvtraffic s={args.skew}: {res.requests} requests "
+          f"({res.gets} get / {res.puts} put), hit rate "
+          f"{res.hit_rate:.3f} ({res.hits} hit / {res.misses} miss)")
     print(f"  FCT p50={q['p50_us']:.1f}us p99={q['p99_us']:.1f}us  "
-          f"one-sided p50={q['hit_p50_us']:.1f}us  "
-          f"AM p50={q['miss_p50_us']:.1f}us  "
+          f"hit p50={q['hit_p50_us']:.1f}us  "
+          f"miss p50={q['miss_p50_us']:.1f}us  "
           f"({res.events} sim events, {time.time() - t0:.1f}s)")
     slo = res.extra.get("slo")
     if slo is not None:
@@ -432,72 +371,51 @@ def kvtraffic_main(argv) -> int:
               f"{len(slo['anomalies'])} anomaly flag(s)")
         if args.trace_dir is None:
             print(render_slo(slo["windows"], s, slo["anomalies"]))
-    links = res.extra.get("links")
-    if links:
-        noisy = sorted(links.items(),
-                       key=lambda kv: (-kv[1]["timeouts"],
-                                       -kv[1]["retries"], kv[0]))[:3]
-        row = ", ".join(f"{src}->{dst} ({tot['timeouts']}t/"
-                        f"{tot['retries']}r)"
-                        for (src, dst), tot in noisy)
-        failures = sum(o["counts"]["failures"]
-                       for o in res.extra["run"].outputs)
-        print(f"  lossy fabric: {failures} exhausted request(s); "
-              f"noisy links: {row}")
+    noisy = res.extra.get("noisy_links")
+    if noisy is not None:
+        row = ", ".join(f"{r['src']}->{r['dst']} ({r['timeouts']}t/"
+                        f"{r['retries']}r)" for r in noisy[:3])
+        print(f"  lossy fabric: {res.failures} exhausted request(s); "
+              f"noisy links: {row or 'none'}")
     policy = res.extra.get("policy")
     if policy is not None:
         print(f"  policy {policy['name']}: "
               f"{len(policy['decisions'])} decision(s), "
               f"digest {policy['digest']:#018x}")
     if args.trace_dir is not None:
-        _write_kvtraffic_artifacts(args.trace_dir, res, slo)
+        _write_kvtraffic_artifacts(args.trace_dir, res)
     return 0
 
 
-def _write_kvtraffic_artifacts(out_dir, res, slo) -> None:
+def _write_kvtraffic_artifacts(out_dir, res) -> None:
     """Write the kvtraffic run directory ``python -m repro report``
-    consumes: merged events (jsonl + validated Chrome trace),
-    slo.json, shard_summary.json."""
+    consumes: the runtime's event log (jsonl + validated Chrome
+    trace), slo.json and links.json."""
     import os
 
     from repro.campaign.artifacts import atomic_write_json
-    from repro.obs.export import dump_jsonl, export_chrome_sharded
-    from repro.obs.shardlog import merge_shard_events
-    from repro.runtime.metrics import RuntimeMetrics
+    from repro.obs.export import dump_jsonl, export_chrome
 
     os.makedirs(out_dir, exist_ok=True)
-    run = res.extra["run"]
-    log = merge_shard_events(run.shard_events, run.trace_dropped)
+    log = res.extra["events"]
     path = os.path.join(out_dir, "kvtraffic.events.jsonl")
     n = dump_jsonl(log, path)
     print(f"  wrote {path} ({n} lines)")
     path = os.path.join(out_dir, "kvtraffic.trace.json")
-    doc = export_chrome_sharded(log, path)
+    doc = export_chrome(log, path)
     print(f"  wrote {path} ({len(doc['traceEvents'])} chrome events, "
           "validated)")
+    slo = res.extra.get("slo")
     if slo is not None:
         path = atomic_write_json(os.path.join(out_dir, "slo.json"),
                                  slo, indent=1, sort_keys=True)
         print(f"  wrote {path}")
-    metrics = RuntimeMetrics()
-    metrics.attach_shards(run.metrics)
-    path = atomic_write_json(
-        os.path.join(out_dir, "shard_summary.json"),
-        metrics.shard_summary(), indent=1, sort_keys=True)
-    print(f"  wrote {path}")
-    links = res.extra.get("links")
-    if links:
-        doc = {
-            "links": {f"{src}->{dst}": tot
-                      for (src, dst), tot in sorted(links.items())},
-            "failures": sum(o["counts"]["failures"]
-                            for o in run.outputs),
-        }
+    if "noisy_links" in res.extra:
+        doc = {"noisy_links": res.extra["noisy_links"],
+               "failures": res.failures}
         policy = res.extra.get("policy")
         if policy is not None:
-            doc["policy"] = {"name": policy["name"],
-                             "digest": policy["digest"],
-                             "decisions": policy["decisions"]}
+            doc["policy"] = policy
         path = atomic_write_json(os.path.join(out_dir, "links.json"),
                                  doc, indent=1, sort_keys=True)
         print(f"  wrote {path}")

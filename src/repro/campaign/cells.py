@@ -13,8 +13,8 @@ Kinds:
   runs across ``params["seeds"]``, reported as a 95% CI;
 * ``figure``    — one full figure runner from
   :mod:`repro.experiments.figures` (the paper's tables);
-* ``kvtraffic`` — one open-loop Zipfian KV traffic run (FCT
-  histograms, SLO windows);
+* ``kvtraffic`` — one open-loop Zipfian KV traffic run on the runtime
+  (FCT histograms, SLO windows);
 * ``lossy``     — one (trace shape, repair policy) traffic run with
   its FCT CDF (the linkguardian-style comparison);
 * ``noop``      — a deterministic placeholder used by the resume
@@ -229,8 +229,7 @@ def _figure_cell(params: Dict, seed: int) -> Dict:
 # kvtraffic / lossy: service-level traffic cells
 # ---------------------------------------------------------------------------
 
-def _traffic_params(params: Dict, seed: int, link_trace: str = "",
-                    policy: str = ""):
+def _traffic_params(params: Dict, seed: int):
     from repro.workloads.kv_traffic import TrafficParams
     return TrafficParams(
         nnodes=int(params.get("nnodes", 8)),
@@ -241,25 +240,19 @@ def _traffic_params(params: Dict, seed: int, link_trace: str = "",
         machine=params.get("machine", "gm"),
         slo_target_us=float(params.get("slo_target_us", 0.0)),
         slo_window_us=float(params.get("slo_window_us", 5000.0)),
-        link_trace=link_trace,
-        repair_policy=policy,
     )
 
 
 def _kv_cell(params: Dict, seed: int) -> Dict:
     from repro.workloads.kv_traffic import hist_cdf, run_kv_traffic
 
-    nshards = int(params.get("shards", 1))
-    res = run_kv_traffic(_traffic_params(params, seed), nshards,
-                         mode=params.get("mode", "inproc"))
+    res = run_kv_traffic(_traffic_params(params, seed))
     q = res.quantiles()
     payload = {
         "zipf_s": float(params.get("zipf_s", 0.9)),
-        "shards": nshards,
         "requests": res.requests,
         "gets": res.gets,
         "puts": res.puts,
-        "conns": res.conns,
         "hit_rate": round(res.hit_rate, 4),
         "p50_us": round(q["p50_us"], 3),
         "p99_us": round(q["p99_us"], 3),
@@ -280,30 +273,24 @@ def _kv_cell(params: Dict, seed: int) -> Dict:
 
 
 def _lossy_cell(params: Dict, seed: int) -> Dict:
-    from repro.faults.trace import COMPRESSED_TRACE_KW, make_trace
-    from repro.workloads.kv_traffic import hist_cdf, run_kv_traffic
+    from repro.workloads.kv_traffic import (hist_cdf, run_kv_traffic,
+                                            scenario_trace)
 
     shape = params.get("shape", "flap")
     policy = params.get("policy", "")
-    nshards = int(params.get("shards", 1))
-    trace_kw = dict(params.get("trace_kw") or {})
-    if not trace_kw and params.get("trace", "full") == "compressed":
-        trace_kw = dict(COMPRESSED_TRACE_KW.get(shape, {}))
-    tr = make_trace(shape, int(params.get("nnodes", 8)),
-                    int(params.get("trace_seed", 0)), **trace_kw)
-    res = run_kv_traffic(
-        _traffic_params(params, seed, link_trace=tr.to_json(),
-                        policy=policy),
-        nshards, mode=params.get("mode", "inproc"))
+    p = _traffic_params(params, seed)
+    p.link_trace = scenario_trace(
+        shape, p, int(params.get("trace_seed", 0)),
+        **dict(params.get("trace_kw") or {})).to_json()
+    p.repair_policy = policy
+    res = run_kv_traffic(p)
     q = res.quantiles()
     pol = res.extra.get("policy") or {}
     return {
         "shape": shape,
         "policy": policy or "do_nothing",
-        "shards": nshards,
         "requests": res.requests,
-        "failures": sum(o["counts"]["failures"]
-                        for o in res.extra["run"].outputs),
+        "failures": res.failures,
         "hit_rate": round(res.hit_rate, 4),
         "p50_us": round(q["p50_us"], 3),
         "p99_us": round(q["p99_us"], 3),

@@ -129,17 +129,17 @@ def _dis_table(rows: List[Dict]) -> str:
 
 
 def _kv_table(rows: List[Dict]) -> str:
-    table = [dict(zipf_s=p["zipf_s"], shards=p["shards"],
-                  requests=p["requests"], hit_rate=p["hit_rate"],
+    table = [dict(zipf_s=p["zipf_s"], requests=p["requests"],
+                  hit_rate=p["hit_rate"],
                   p50_us=p["p50_us"], p99_us=p["p99_us"],
                   slo_burn=(round(p["slo"]["summary"]["burn_rate"], 3)
                             if p.get("slo") else None),
                   slo_viol=(p["slo"]["summary"]["violations"]
                             if p.get("slo") else None))
              for p in rows]
-    table.sort(key=lambda r: (r["zipf_s"], r["shards"]))
+    table.sort(key=lambda r: r["zipf_s"])
     return render_table(
-        table, ["zipf_s", "shards", "requests", "hit_rate", "p50_us",
+        table, ["zipf_s", "requests", "hit_rate", "p50_us",
                 "p99_us", "slo_burn", "slo_viol"],
         title="KV traffic cells: FCT quantiles and SLO burn")
 
@@ -196,7 +196,7 @@ def render_campaign(run_dir: str, campaign: str,
         kv = payloads["kvtraffic"]
         _emit("campaign_kvtraffic.txt", _kv_table(kv))
         series = sorted(
-            ((f"zipf={p['zipf_s']} shards={p['shards']}", p["fct_cdf"])
+            ((f"zipf={p['zipf_s']}", p["fct_cdf"])
              for p in kv), key=lambda s: s[0])
         _emit("kv_fct_cdf.txt",
               render_cdf_figure(series,

@@ -1,7 +1,7 @@
 """Campaign specs: a config matrix declared as a small document.
 
 A spec is a list of *legs*; each leg crosses a ``matrix`` of axes
-(workload × machine params × shards × cache/fault knobs) with a list
+(workload × machine params × cache/fault knobs) with a list
 of ``seeds`` and shares the leg's ``fixed`` parameters.  Expansion is
 deterministic: axes are crossed in sorted-key order, seeds last, and
 every cell gets a stable id derived from a canonical-JSON hash of its
@@ -153,13 +153,13 @@ def _smoke_spec() -> CampaignSpec:
              "fixed": {"sizes": [1, 64, 1024, 8192], "reps": 3}},
             {"kind": "kvtraffic",
              "matrix": {"zipf_s": [0.9, 1.2]},
-             "fixed": {"requests": 6000, "shards": 1,
+             "fixed": {"requests": 6000,
                        "slo_target_us": 30.0, "slo_window_us": 500.0},
              "seeds": [7]},
             {"kind": "lossy",
              "matrix": {"policy": ["do_nothing", "disable_and_repair"]},
-             "fixed": {"shape": "flap", "requests": 32000, "shards": 1,
-                       "trace_seed": 7, "trace": "compressed"},
+             "fixed": {"shape": "flap", "requests": 6400,
+                       "trace_seed": 7},
              "seeds": [9]},
         ])
 
@@ -196,14 +196,13 @@ def _paper_spec() -> CampaignSpec:
 def _service_spec() -> CampaignSpec:
     return CampaignSpec(
         name="service",
-        description="KV service sweep: skew x shards FCT/SLO grid "
-                    "plus the lossy-fabric policy grid",
+        description="KV service sweep: skew FCT/SLO grid plus the "
+                    "lossy-fabric policy grid",
         workers=4,
         legs=[
             {"kind": "kvtraffic",
-             "matrix": {"zipf_s": [0.8, 0.9, 1.05, 1.2],
-                        "shards": [1, 2]},
-             "fixed": {"requests": 100_000, "slo_target_us": 30.0,
+             "matrix": {"zipf_s": [0.8, 0.9, 1.05, 1.2]},
+             "fixed": {"requests": 40_000, "slo_target_us": 30.0,
                        "slo_window_us": 2000.0},
              "seeds": [7]},
             {"kind": "lossy",
@@ -211,8 +210,7 @@ def _service_spec() -> CampaignSpec:
                         "policy": ["do_nothing", "retransmit_tuning",
                                    "disable_and_repair",
                                    "path_failover"]},
-             "fixed": {"requests": 48_000, "shards": 1, "trace_seed": 7,
-                       "trace": "compressed"},
+             "fixed": {"requests": 19_200, "trace_seed": 7},
              "seeds": [9]},
         ])
 

@@ -50,13 +50,10 @@ from repro.faults.reliability import (
     ReliabilityError,
 )
 from repro.faults.trace import (
-    COMPRESSED_TRACE_KW,
     TRACE_SHAPES,
     LinkRule,
     LinkTrace,
     TraceSegment,
-    fate_hash,
-    fate_u01,
     make_trace,
     sniff_trace_json,
 )
@@ -72,7 +69,6 @@ __all__ = [
     "LinkFault",
     "LinkMode",
     "LinkRule",
-    "COMPRESSED_TRACE_KW",
     "LinkTrace",
     "NicStall",
     "NO_FAULT",
@@ -87,8 +83,6 @@ __all__ = [
     "TraceSegment",
     "WindowStats",
     "decisions_digest",
-    "fate_hash",
-    "fate_u01",
     "fold_ewma",
     "make_trace",
     "resolve_profile",

@@ -1,8 +1,7 @@
 """Per-link health signals: windowed counters + delivery EWMA.
 
-Repair policies must see the same history whatever shard layout runs
-the workload, so health is accumulated with the same discipline as
-every other mergeable statistic in the sharded core:
+Repair policies must see a history that does not depend on how often
+or when they are queried, so health is accumulated like this:
 
 * events land in **fixed-width time windows** (``index = floor(t /
   window_us)``) as commutative counter adds — attempts, timeouts,
@@ -12,8 +11,7 @@ every other mergeable statistic in the sharded core:
   from that point nothing can be recorded into it, because recorders
   stamp events at or after their own process time and the simulator
   processes strictly earlier times first.  Same-timestamp
-  interleavings across layouts therefore cannot change what a policy
-  reads;
+  interleavings therefore cannot change what a policy reads;
 * the **delivery EWMA** is a pure fold over closed windows in index
   order, memoized monotonically — re-evaluating at a later horizon
   continues the fold, never restarts it.
@@ -62,12 +60,9 @@ class WindowStats:
 class HealthTracker:
     """Windowed per-link health accounting.
 
-    ``record`` may be called with event times at or *after* the
-    caller's process time (the traffic harness records a whole
-    precomputed retry chain at issue time); reads via
-    :meth:`closed_windows` only ever surface windows strictly before
-    the reader's horizon, which is what keeps policy inputs
-    layout-invariant.
+    Reads via :meth:`closed_windows` only ever surface windows
+    strictly before the reader's horizon, so a window's counters are
+    final by the time a policy folds them.
     """
 
     def __init__(self, window_us: float = 500.0) -> None:
@@ -128,25 +123,10 @@ class HealthTracker:
                 if after < i < upto]
 
     def link_totals(self) -> Dict[Link, dict]:
-        """Run-total health per link, as plain dicts (mergeable across
-        shards by key-wise summation)."""
+        """Run-total health per link, as plain dicts."""
         return {link: {"attempts": tot[_ATT], "timeouts": tot[_TMO],
                        "retries": tot[_RTY], "deliveries": tot[_DLV]}
                 for link, tot in self.totals.items()}
-
-    @staticmethod
-    def merge_totals(batches) -> Dict[Link, dict]:
-        """Merge per-shard :meth:`link_totals` exports (key-wise sum —
-        commutative, hence layout-invariant)."""
-        merged: Dict[Link, dict] = {}
-        for batch in batches:
-            for link, tot in batch.items():
-                m = merged.setdefault(
-                    tuple(link), {"attempts": 0, "timeouts": 0,
-                                  "retries": 0, "deliveries": 0})
-                for k in m:
-                    m[k] += tot[k]
-        return merged
 
 
 def fold_ewma(prev: float, delivery_rate: float, alpha: float) -> float:

@@ -29,7 +29,7 @@ from repro.util.rng import seeded_rng
 _FAULT_STREAM = 0xFA17
 #: Separate salt for link-trace draws, so adding a trace to a plan
 #: never perturbs the plan's own fault sequence.
-_TRACE_STREAM = 0x7ACE
+_LINKTRACE_STREAM = 0x7ACE
 
 
 class Fate:
@@ -107,7 +107,7 @@ class FaultInjector:
         #: Optional :class:`~repro.faults.health.HealthTracker`; every
         #: fate draw records one attempt against the link it rode.
         self.health = health
-        self._trace_rng = (seeded_rng(self.trace.seed, _TRACE_STREAM)
+        self._trace_rng = (seeded_rng(self.trace.seed, _LINKTRACE_STREAM)
                            if self.trace is not None else None)
 
     # -- bookkeeping ---------------------------------------------------

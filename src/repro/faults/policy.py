@@ -23,23 +23,18 @@ small per-link mode machine:
     + AM re-validation on top).
 
 Determinism: every decision is a pure fold over *closed* health
-windows in index order (see :mod:`repro.faults.health` for why closed
-windows are layout-invariant), so the same trace + seed produces the
-identical decision sequence across shard layouts and backends.
-Queries for a *future* instant (the traffic harness plans whole retry
-chains at issue time) pass the issue time as ``horizon`` — state only
-ever advances on knowledge that was closed at the horizon, while the
-returned mode accounts for repair timers expiring before the queried
-instant.
+windows in index order (see :mod:`repro.faults.health`), so the same
+trace + seed produces the identical decision sequence however often
+the engine is queried.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.faults.health import HealthTracker, fold_ewma
-from repro.faults.trace import fate_hash
 
 Link = Tuple[int, int]
 
@@ -119,16 +114,15 @@ NORMAL = LinkMode()
 
 
 def decisions_digest(decisions) -> int:
-    """Order-independent digest of a decision set (summed per-decision
-    hashes, mod 2^64) — per-shard digests merge by modular addition
-    into a layout-invariant whole.  Free function so harnesses that
-    ship plain decision lists across process boundaries can digest
-    them without reconstructing an engine."""
+    """Order-independent 64-bit digest of a decision set (summed
+    per-decision hashes, mod 2^64) — a short stand-in that two runs
+    can compare for bit-identical policy behaviour."""
     acc = 0
     for d in decisions:
-        acc = (acc + fate_hash(int(round(d["t_us"] * 1e6)),
-                               d["src"], d["dst"],
-                               _ACTION_CODE[d["action"]])) & _MASK64
+        key = (f"{d['t_us']!r}|{d['src']}|{d['dst']}|"
+               f"{_ACTION_CODE[d['action']]}").encode()
+        h = hashlib.blake2b(key, digest_size=8).digest()
+        acc = (acc + int.from_bytes(h, "little")) & _MASK64
     return acc
 
 
@@ -148,11 +142,7 @@ class _LinkState:
 
 
 class PolicyEngine:
-    """Folds link health into per-link modes for one run (or one
-    shard of a run — links are keyed by source node, and all of a
-    node's traffic lives on one shard, so per-shard engines never need
-    cross-shard state).
-    """
+    """Folds link health into per-link modes for one run."""
 
     def __init__(self, policy: str, config: Optional[PolicyConfig] = None,
                  health: Optional[HealthTracker] = None,
@@ -191,13 +181,6 @@ class PolicyEngine:
         """Order-independent digest of this engine's decision set —
         see :func:`decisions_digest`."""
         return decisions_digest(self.decisions)
-
-    @staticmethod
-    def merge_digests(digests) -> int:
-        acc = 0
-        for d in digests:
-            acc = (acc + d) & _MASK64
-        return acc
 
     # -- the fold -------------------------------------------------------
 
@@ -271,19 +254,13 @@ class PolicyEngine:
 
     # -- queries --------------------------------------------------------
 
-    def mode_of(self, src: int, dst: int, t: float,
-                horizon: Optional[float] = None) -> LinkMode:
-        """The mode of link ``src -> dst`` at instant ``t``.
-
-        ``horizon`` (default ``t``) bounds the health knowledge the
-        answer may use: only windows closed at the horizon fold in.
-        Callers planning future attempts pass their issue time, so the
-        answer is identical whatever layout executes the plan.
-        """
+    def mode_of(self, src: int, dst: int, t: float) -> LinkMode:
+        """The mode of link ``src -> dst`` at instant ``t``, folded
+        from the health windows closed at ``t``."""
         if self.policy == "do_nothing":
             return NORMAL
         link = (src, dst)
-        upto = self.health.horizon(horizon if horizon is not None else t)
+        upto = self.health.horizon(t)
         st = self._advance(link, upto)
         cfg = self.config
         if st.mode == MODE_TUNED:

@@ -9,17 +9,9 @@ round-trippable like plans (a ``"kind": "link-trace"`` marker lets
 ``resolve_profile``/``resolve_trace`` tell the two documents apart)
 and carry their own seed.
 
-Two draw disciplines consume a trace:
-
-* the pooled runtime's :class:`~repro.faults.injector.FaultInjector`
-  draws sequentially from its seeded RNG (deterministic in simulator
-  order, like every static-plan draw);
-* the sharded traffic harness draws each message's fate with
-  :func:`fate_u01` — a pure integer hash of
-  ``(seed, client, seq, attempt, leg)`` — so the fate of every attempt
-  is a function of *identity*, not of cross-shard event interleaving.
-  That is what makes "same trace + seed ⇒ bit-identical fate sequence
-  across shards {1,2,4} and both backends" hold by construction.
+The runtime's :class:`~repro.faults.injector.FaultInjector` consumes a
+trace, drawing each message's fate sequentially from its seeded RNG
+(deterministic in simulator order, like every static-plan draw).
 
 Seeded generators build the linkguardian-style scenario shapes:
 ``flap`` (a link oscillating up/down), ``burst`` (short high-loss
@@ -39,38 +31,6 @@ from repro.util.rng import seeded_rng
 
 #: Document marker distinguishing trace JSON from fault-plan JSON.
 TRACE_KIND = "link-trace"
-
-_MASK64 = (1 << 64) - 1
-_GOLDEN = 0x9E3779B97F4A7C15
-
-
-def _mix64(x: int) -> int:
-    """splitmix64 finalizer — a high-quality 64-bit avalanche."""
-    x &= _MASK64
-    x ^= x >> 33
-    x = (x * 0xFF51AFD7ED558CCD) & _MASK64
-    x ^= x >> 33
-    x = (x * 0xC4CEB9FE1A85EC53) & _MASK64
-    x ^= x >> 33
-    return x
-
-
-def fate_hash(*keys: int) -> int:
-    """Pure 64-bit hash of an integer key tuple (order-sensitive)."""
-    h = _GOLDEN
-    for k in keys:
-        h = _mix64(h ^ (int(k) & _MASK64))
-    return h
-
-
-def fate_u01(*keys: int) -> float:
-    """Deterministic uniform draw in [0, 1) from an integer key tuple.
-
-    A pure function of identity — no RNG state, no draw ordering — so
-    per-message fate decisions keyed by ``(seed, client, seq, attempt,
-    leg)`` are identical whatever shard layout processes them.
-    """
-    return fate_hash(*keys) / 2.0 ** 64
 
 
 @dataclass(frozen=True)
@@ -371,17 +331,6 @@ TRACE_SHAPES: Dict[str, Callable[..., LinkTrace]] = {
     "burst": burst_trace,
     "degrade": degrade_trace,
     "gray": gray_trace,
-}
-
-
-#: Generator overrides compressing each shape into a ~6 ms horizon so
-#: short (smoke/CI) traffic windows still see several episodes.
-#: Shared by the lossy-fabric bench and campaign lossy cells.
-COMPRESSED_TRACE_KW: Dict[str, Dict[str, float]] = {
-    "flap": dict(horizon_us=6000.0, period_us=2000.0, down_us=800.0),
-    "burst": dict(horizon_us=6000.0, bursts=3),
-    "degrade": dict(horizon_us=6000.0),
-    "gray": dict(horizon_us=6000.0),
 }
 
 

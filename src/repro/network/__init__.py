@@ -23,12 +23,6 @@ from repro.network.params import (
     MachineParams,
     TransportParams,
 )
-from repro.network.partition import (
-    NodePartition,
-    lookahead_matrix,
-    min_lookahead,
-    partition_nodes,
-)
 from repro.network.progress import (
     InterruptProgress,
     PollingProgress,
@@ -83,8 +77,4 @@ __all__ = [
     "ProgressEngine",
     "PollingProgress",
     "InterruptProgress",
-    "NodePartition",
-    "partition_nodes",
-    "lookahead_matrix",
-    "min_lookahead",
 ]

@@ -13,15 +13,11 @@ Enable it by passing an ``EventLog`` into
 
     python -m repro trace field --breakdown
 
-The sharded PDES core is covered too: each shard runs its own log,
-:mod:`repro.obs.shardlog` merges the per-shard batches into one global
-timeline (cross-shard sends/recvs join into linked spans), and
 :mod:`repro.obs.slo` watches service completion streams with rolling
 SLO windows, burn rates and anomaly flags.  ``python -m repro report
 <run-dir>`` (:mod:`repro.obs.report`) renders everything a traced run
 left behind as one unified artifact::
 
-    python -m repro trace field --shards 2 --format chrome
     python -m repro kvtraffic --slo-target-us 30 --trace-dir out/
     python -m repro report out/
 """
@@ -40,8 +36,6 @@ from repro.obs.events import (
     AM_REPLY_RECV,
     AM_REPLY_SEND,
     AM_SEND,
-    BARRIER_ARRIVE,
-    BARRIER_RELEASE,
     BULK_DRAIN,
     BULK_ISSUE,
     BULK_PLAN,
@@ -71,30 +65,19 @@ from repro.obs.events import (
     RDMA_COMPLETE,
     RDMA_ISSUE,
     RETRY,
-    SYNC_ROUND,
     TIMEOUT,
     TraceEvent,
     UNPIN,
-    XSHARD_RECV,
-    XSHARD_SEND,
 )
 from repro.obs.export import (
     CHROME_PHASES,
     HANDLER_TID,
-    SYNC_TID,
-    XSHARD_TID,
     dump_jsonl,
     export_chrome,
-    export_chrome_sharded,
     load_jsonl,
     validate_chrome,
 )
 from repro.obs.sampler import CounterSampler
-from repro.obs.shardlog import (
-    merge_shard_events,
-    pack_events,
-    xshard_pairs,
-)
 from repro.obs.slo import (
     SLOMonitor,
     SLOWindow,
@@ -155,17 +138,6 @@ __all__ = [
     "RETRY",
     "DEGRADE",
     "POLICY_ACTION",
-    "XSHARD_SEND",
-    "XSHARD_RECV",
-    "SYNC_ROUND",
-    "BARRIER_ARRIVE",
-    "BARRIER_RELEASE",
-    "SYNC_TID",
-    "XSHARD_TID",
-    "export_chrome_sharded",
-    "pack_events",
-    "merge_shard_events",
-    "xshard_pairs",
     "SLOMonitor",
     "SLOWindow",
     "detect_anomalies",

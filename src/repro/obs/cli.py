@@ -97,74 +97,6 @@ WORKLOADS = ("pointer", "update", "field", "neighborhood",
              "transitive", "corner_turn")
 
 
-def _trace_sharded(ap, args, formats) -> int:
-    """``trace field --shards N``: run the *sharded* event core with
-    every shard's flight recorder armed, merge the per-shard logs into
-    one timeline and export per-shard track groups plus linked
-    cross-shard spans."""
-    if args.workload != "field":
-        ap.error("--shards supports the 'field' workload only "
-                 "(the sharded core's message-passing mix)")
-    if args.breakdown:
-        ap.error("--breakdown needs the full-runtime recorder; "
-                 "it is not available with --shards")
-    if "csv" in formats:
-        ap.error("csv (Paraver state) export is full-runtime only; "
-                 "not available with --shards")
-    if args.fault_profile is not None or args.link_trace is not None:
-        ap.error("fault plans and link traces run on the full runtime "
-                 "only; not available with --shards (use 'python -m "
-                 "repro kvtraffic --link-trace' for the sharded core)")
-
-    from repro.obs.export import export_chrome_sharded
-    from repro.obs.shardlog import merge_shard_events, xshard_pairs
-    from repro.runtime.metrics import RuntimeMetrics
-    from repro.workloads.sharded import run_field_sharded
-
-    t0 = time.time()
-    res = run_field_sharded(args.nthreads, args.shards,
-                            machine=args.machine,
-                            mode=args.shard_backend, trace=True,
-                            trace_max_events=args.max_events)
-    wall = time.time() - t0
-    run = res["run"]
-    log = merge_shard_events(run.shard_events, run.trace_dropped)
-    pairs = xshard_pairs(log)
-    linked = sum(1 for s, r in pairs.values()
-                 if s is not None and r is not None)
-
-    os.makedirs(args.out, exist_ok=True)
-    artifacts = []
-    if "chrome" in formats:
-        path = os.path.join(args.out, f"{args.workload}.trace.json")
-        doc = export_chrome_sharded(log, path)
-        artifacts.append(f"{path} ({len(doc['traceEvents'])} chrome "
-                         "events, validated)")
-    if "jsonl" in formats:
-        path = os.path.join(args.out, f"{args.workload}.events.jsonl")
-        n = dump_jsonl(log, path)
-        artifacts.append(f"{path} ({n} lines)")
-
-    n_ops = sum(1 for e in log if e.kind == OP_END)
-    print(f"trace {args.workload} --shards {args.shards} "
-          f"({args.shard_backend}): {run.now:.1f} virtual us, "
-          f"{run.events} sim events, {len(log)} recorded events "
-          f"({log.dropped_events} dropped), {n_ops} ops, "
-          f"{len(pairs)} cross-shard msgs ({linked} linked) "
-          f"({wall:.1f}s)")
-    metrics = RuntimeMetrics()
-    metrics.attach_shards(run.metrics)
-    s = metrics.shard_summary()
-    print(f"  sync: {s['sync_rounds']} rounds, "
-          f"{s['sync_stall_grains']} stall grains "
-          f"(mean {s['sync_stall_mean']:.2f}/shard), "
-          f"{s['channel_msgs']} channel msgs, "
-          f"{s['channel_bytes']} channel bytes")
-    for line in artifacts:
-        print(f"  wrote {line}")
-    return 0
-
-
 def trace_main(argv) -> int:
     ap = argparse.ArgumentParser(
         prog="python -m repro trace",
@@ -210,16 +142,8 @@ def trace_main(argv) -> int:
                          "(0 disables; default 100)")
     ap.add_argument("--max-events", type=int, default=None,
                     help="flight-recorder memory bound (drop-newest)")
-    ap.add_argument("--shards", type=int, default=1,
-                    help="run the sharded event core with N shards and "
-                         "merge per-shard flight logs (field only)")
-    ap.add_argument("--shard-backend", choices=("inproc", "mp"),
-                    default="inproc",
-                    help="sharded-core backend (default inproc)")
     args = ap.parse_args(argv)
     formats = args.formats or ["chrome", "jsonl"]
-    if args.shards > 1:
-        return _trace_sharded(ap, args, formats)
 
     log = EventLog(enabled=True, max_events=args.max_events)
     tracer = None

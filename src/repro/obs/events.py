@@ -92,20 +92,6 @@ KV_PUT = "kv_put"
 KV_DEL = "kv_del"
 KV_MGET = "kv_mget"
 
-#: Sharded-PDES-core kinds (:mod:`repro.sim.shard`).  ``xshard_send``
-#: and ``xshard_recv`` bracket one cross-shard message — the receive
-#: carries the sender's ``(src, seq)`` pair, which is the join key
-#: linking the two halves into one logical span across shard logs.
-#: ``sync_round`` marks one conservative-sync grain (the barrier
-#: window): its ``round`` attr is the coordinator's global round
-#: number, ``stall`` flags grains that processed zero events — the
-#: conservative-sync stalls the Chrome export makes visible.
-XSHARD_SEND = "xshard_send"
-XSHARD_RECV = "xshard_recv"
-SYNC_ROUND = "sync_round"
-BARRIER_ARRIVE = "barrier_arrive"
-BARRIER_RELEASE = "barrier_release"
-
 COUNTER = "counter"
 
 FAULT_INJECT = "fault_inject"

@@ -22,17 +22,12 @@ from typing import Dict, List, Optional, TextIO, Tuple, Union
 
 from repro.obs.events import (
     AM_REPLY_SEND,
-    BARRIER_ARRIVE,
-    BARRIER_RELEASE,
     EventLog,
     HANDLER_BEGIN,
     HANDLER_END,
     OP_BEGIN,
     OP_END,
-    SYNC_ROUND,
     TraceEvent,
-    XSHARD_RECV,
-    XSHARD_SEND,
 )
 
 #: Trace-event phases the exporter emits / the validator accepts.
@@ -45,12 +40,6 @@ _NESTED_NAMES = ("barrier", "lock", "compute")
 
 #: Synthetic tid for the per-node handler/NIC track.
 HANDLER_TID = 1_000_000
-
-#: Synthetic tids inside a shard's track group (sharded exports): the
-#: conservative-sync round/barrier-window track and the cross-shard
-#: message track.
-SYNC_TID = 1_000_001
-XSHARD_TID = 1_000_002
 
 
 def _span_name(begin: TraceEvent, end: Optional[TraceEvent]) -> str:
@@ -136,112 +125,6 @@ def export_chrome(log: EventLog, dest: Union[str, TextIO, None] = None,
             events.append({"ph": "C", "name": str(name), "pid": pid,
                            "tid": 0, "ts": float(t),
                            "args": {"value": float(value)}})
-
-    events.sort(key=lambda d: d["ts"])
-    doc = {"traceEvents": meta + events, "displayTimeUnit": "ms"}
-    problems = validate_chrome(doc)
-    if problems:
-        raise ValueError("invalid chrome trace: " + "; ".join(problems))
-    if dest is not None:
-        if isinstance(dest, str):
-            with open(dest, "w", encoding="utf-8") as fh:
-                json.dump(doc, fh)
-        else:
-            json.dump(doc, dest)
-    return doc
-
-
-def export_chrome_sharded(log: EventLog,
-                          dest: Union[str, TextIO, None] = None) -> dict:
-    """Chrome trace-event document for a **merged shard timeline**
-    (see :mod:`repro.obs.shardlog`).
-
-    Track groups are *shards*, not nodes: ``pid = shard``, with each
-    shard's UPC-thread/workload-op tracks plus two synthetic tracks —
-
-    * ``sync rounds`` (:data:`SYNC_TID`): one span per conservative
-      grain (``sync_round``), named ``sync_stall`` when the grain
-      processed zero events (the barrier-window stalls §conservative
-      sync makes unavoidable), plus barrier arrive/release markers;
-    * ``cross-shard msgs`` (:data:`XSHARD_TID`): the send half spans
-      the wire time and the receive half marks the arrival — both
-      carry ``args.link = "src:seq"``, the key that joins the two
-      halves of one message across shard track groups.
-
-    The document is validated before being returned/written.
-    """
-    events: List[dict] = []
-    meta: List[dict] = []
-    seen_tracks: set = set()
-    begins: Dict[int, TraceEvent] = {}
-
-    def track(pid: int, tid: int, name: str) -> None:
-        if (pid, tid) in seen_tracks:
-            return
-        seen_tracks.add((pid, tid))
-        meta.append({"ph": "M", "name": "process_name", "pid": pid,
-                     "tid": 0, "ts": 0,
-                     "args": {"name": f"shard {pid}"}})
-        meta.append({"ph": "M", "name": "thread_name", "pid": pid,
-                     "tid": tid, "ts": 0, "args": {"name": name}})
-
-    for e in log:
-        pid = int(e.attrs.get("shard", 0))
-        if e.kind == OP_BEGIN:
-            begins[e.op] = e
-        elif e.kind == OP_END:
-            b = begins.pop(e.op, None)
-            if b is None:
-                continue
-            bpid = int(b.attrs.get("shard", pid))
-            tid = max(b.thread, 0)
-            track(bpid, tid, f"upc thread {tid}")
-            args = {"op_id": e.op}
-            for k in ("node", "proto", "nbytes"):
-                v = e.attrs.get(k, b.attrs.get(k))
-                if v is not None:
-                    args[k] = v
-            if b.node >= 0:
-                args["node"] = b.node
-            events.append({"ph": "X", "name": _span_name(b, e),
-                           "pid": bpid, "tid": tid, "ts": b.t,
-                           "dur": max(e.t - b.t, 0.0), "args": args})
-        elif e.kind == SYNC_ROUND:
-            track(pid, SYNC_TID, "sync rounds")
-            stall = bool(e.attrs.get("stall"))
-            args = {"round": e.attrs.get("round", 0),
-                    "events": e.attrs.get("events", 0),
-                    "delivered": e.attrs.get("delivered", 0)}
-            if "horizon" in e.attrs:
-                args["horizon"] = e.attrs["horizon"]
-            events.append({"ph": "X",
-                           "name": "sync_stall" if stall else "sync_round",
-                           "pid": pid, "tid": SYNC_TID, "ts": e.t,
-                           "dur": max(float(e.attrs.get("dur", 0.0)), 0.0),
-                           "args": args})
-        elif e.kind in (BARRIER_ARRIVE, BARRIER_RELEASE):
-            track(pid, SYNC_TID, "sync rounds")
-            events.append({"ph": "X", "name": e.kind, "pid": pid,
-                           "tid": SYNC_TID, "ts": e.t, "dur": 0.0,
-                           "args": {"name": str(e.attrs.get("name", ""))}})
-        elif e.kind == XSHARD_SEND:
-            track(pid, XSHARD_TID, "cross-shard msgs")
-            link = f"{e.attrs['src']}:{e.attrs['seq']}"
-            events.append({
-                "ph": "X", "name": f"xshard:{e.attrs.get('msg', '?')}",
-                "pid": pid, "tid": XSHARD_TID, "ts": e.t,
-                "dur": max(float(e.attrs.get("arrival", e.t)) - e.t, 0.0),
-                "args": {"link": link, "dst": e.attrs.get("dst"),
-                         "nbytes": e.attrs.get("nbytes", 0)}})
-        elif e.kind == XSHARD_RECV:
-            track(pid, XSHARD_TID, "cross-shard msgs")
-            link = f"{e.attrs['src']}:{e.attrs['seq']}"
-            events.append({
-                "ph": "X",
-                "name": f"xshard:{e.attrs.get('msg', '?')}:recv",
-                "pid": pid, "tid": XSHARD_TID, "ts": e.t, "dur": 0.0,
-                "args": {"link": link, "src": e.attrs.get("src"),
-                         "nbytes": e.attrs.get("nbytes", 0)}})
 
     events.sort(key=lambda d: d["ts"])
     doc = {"traceEvents": meta + events, "displayTimeUnit": "ms"}

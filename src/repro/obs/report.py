@@ -4,17 +4,13 @@ A *run directory* is whatever a traced run left behind; the report
 command stitches every artifact it recognizes into one text + JSON
 summary:
 
-* ``*.events.jsonl``      — merged flight-recorder streams (from
-  ``trace ... --shards N`` or ``kvtraffic --trace-dir``): op-latency
-  breakdown by span name, per-shard event/op rollups, cross-shard
-  message pairing, conservative-sync round/stall stats;
+* ``*.events.jsonl``      — flight-recorder streams (from ``trace
+  --format jsonl`` or ``kvtraffic --trace-dir``): op-latency rollup
+  by span name;
 * ``slo.json``            — the SLO monitor's windows, summary and
   anomaly flags (from ``kvtraffic --slo-target-us``);
-* ``shard_summary.json``  — the sharded core's metric rollup
-  (sync rounds, channel traffic, per-shard clocks);
-* ``links.json``          — per-link health totals, exhausted
-  requests and repair-policy decisions (from ``kvtraffic
-  --link-trace``);
+* ``links.json``          — the noisiest links, exhausted requests
+  and repair-policy decisions (from ``kvtraffic --link-trace``);
 * ``campaign.json``       — a sweep campaign's manifest (from
   ``python -m repro campaign``): per-cell statuses and the spec
   that produced them.
@@ -31,16 +27,8 @@ import json
 import os
 from typing import Dict, List, Optional
 
-from repro.obs.events import (
-    EventLog,
-    OP_BEGIN,
-    OP_END,
-    SYNC_ROUND,
-    XSHARD_RECV,
-    XSHARD_SEND,
-)
+from repro.obs.events import EventLog, OP_BEGIN, OP_END
 from repro.obs.export import load_jsonl
-from repro.obs.shardlog import xshard_pairs
 from repro.obs.slo import render_slo
 
 
@@ -80,47 +68,6 @@ def op_latency_table(log: EventLog) -> List[dict]:
     return rows
 
 
-def shard_rollups(log: EventLog) -> List[dict]:
-    """Per-shard event/op/cross-shard counts from a merged log (the
-    ``shard`` attr every merged event carries)."""
-    by_shard: Dict[int, dict] = {}
-    for e in log:
-        shard = int(e.attrs.get("shard", 0))
-        r = by_shard.get(shard)
-        if r is None:
-            r = by_shard[shard] = {
-                "shard": shard, "events": 0, "ops": 0, "sends": 0,
-                "recvs": 0, "sync_rounds": 0, "stall_rounds": 0,
-                "t_last_us": 0.0}
-        r["events"] += 1
-        r["t_last_us"] = max(r["t_last_us"], e.t)
-        if e.kind == OP_END:
-            r["ops"] += 1
-        elif e.kind == XSHARD_SEND:
-            r["sends"] += 1
-        elif e.kind == XSHARD_RECV:
-            r["recvs"] += 1
-        elif e.kind == SYNC_ROUND:
-            r["sync_rounds"] += 1
-            if e.attrs.get("stall"):
-                r["stall_rounds"] += 1
-    return [by_shard[s] for s in sorted(by_shard)]
-
-
-def xshard_stats(log: EventLog) -> dict:
-    """Cross-shard message pairing + latency stats."""
-    pairs = xshard_pairs(log)
-    lats = sorted(r.t - s.t for s, r in pairs.values()
-                  if s is not None and r is not None)
-    return {
-        "msgs": len(pairs),
-        "linked": len(lats),
-        "unpaired": len(pairs) - len(lats),
-        "latency_p50_us": _percentile(lats, 0.50),
-        "latency_p99_us": _percentile(lats, 0.99),
-    }
-
-
 def analyze_events(path: str) -> dict:
     log = load_jsonl(path)
     return {
@@ -128,8 +75,6 @@ def analyze_events(path: str) -> dict:
         "events": len(log),
         "dropped": log.dropped_events,
         "ops": op_latency_table(log),
-        "shards": shard_rollups(log),
-        "xshard": xshard_stats(log),
     }
 
 
@@ -144,57 +89,19 @@ def _render_events(a: dict) -> List[str]:
                 f"  {r['name']:<14} {r['count']:>7} "
                 f"{r['mean_us']:>9.2f} {r['p50_us']:>8.2f} "
                 f"{r['p99_us']:>8.2f} {r['max_us']:>9.2f}")
-    if len(a["shards"]) > 1 or a["xshard"]["msgs"]:
-        lines.append(f"  {'shard':>5} {'events':>7} {'ops':>6} "
-                     f"{'sends':>6} {'recvs':>6} {'rounds':>7} "
-                     f"{'stalls':>6} {'t_last_us':>10}")
-        for r in a["shards"]:
-            lines.append(
-                f"  {r['shard']:>5} {r['events']:>7} {r['ops']:>6} "
-                f"{r['sends']:>6} {r['recvs']:>6} "
-                f"{r['sync_rounds']:>7} {r['stall_rounds']:>6} "
-                f"{r['t_last_us']:>10.1f}")
-        x = a["xshard"]
-        lines.append(
-            f"  cross-shard: {x['msgs']} msgs, {x['linked']} linked "
-            f"({x['unpaired']} unpaired), wire p50="
-            f"{x['latency_p50_us']:.2f}us p99="
-            f"{x['latency_p99_us']:.2f}us")
-    return lines
-
-
-def _render_shard_summary(s: dict) -> List[str]:
-    lines = [f"shards: {s.get('shards', 0)} — "
-             f"{s.get('sync_rounds', 0)} sync rounds, "
-             f"{s.get('sync_stall_grains', 0)} stall grains "
-             f"(mean {s.get('sync_stall_mean', 0.0):.2f}/shard)"]
-    lines.append(
-        f"  events total={s.get('shard_events_total', 0)} "
-        f"mean={s.get('shard_events_mean', 0.0):.0f} "
-        f"max={s.get('shard_events_max', 0)}; channel "
-        f"{s.get('channel_msgs', 0)} msgs / "
-        f"{s.get('channel_bytes', 0):,} bytes; max backlog "
-        f"{s.get('shard_max_backlog', 0)}; final clock "
-        f"{s.get('shard_final_clock_us', 0.0):.1f}us")
     return lines
 
 
 def _render_links(doc: dict) -> List[str]:
-    """Per-link health + repair-policy rollup from links.json."""
-    links = doc.get("links", {})
-    noisy = sorted(
-        links.items(),
-        key=lambda kv: (-kv[1]["timeouts"], -kv[1]["retries"], kv[0]))
-    lines = [f"links: {len(links)} observed, "
+    """Noisy-link + repair-policy rollup from links.json."""
+    noisy = doc.get("noisy_links", [])
+    lines = [f"links: {len(noisy)} noisy, "
              f"{doc.get('failures', 0)} exhausted request(s)"]
     if noisy:
-        lines.append(f"  {'link':<8} {'attempts':>9} {'timeouts':>9} "
-                     f"{'retries':>8} {'deliveries':>11}")
-        for link, tot in noisy[:5]:
-            lines.append(
-                f"  {link:<8} {tot['attempts']:>9} "
-                f"{tot['timeouts']:>9} {tot['retries']:>8} "
-                f"{tot['deliveries']:>11}")
+        lines.append(f"  {'link':<8} {'timeouts':>9} {'retries':>8}")
+        for r in noisy:
+            lines.append(f"  {r['src']}->{r['dst']:<5} "
+                         f"{r['timeouts']:>9} {r['retries']:>8}")
     policy = doc.get("policy")
     if policy:
         lines.append(f"  policy {policy['name']}: "
@@ -226,7 +133,7 @@ def _render_campaign(doc: dict) -> List[str]:
 def build_report(run_dir: str) -> dict:
     """Scan ``run_dir`` and assemble the unified report dict."""
     report: dict = {"run_dir": os.path.abspath(run_dir),
-                    "events": [], "slo": None, "shard_summary": None,
+                    "events": [], "slo": None,
                     "links": None, "campaign": None}
     for path in sorted(glob.glob(os.path.join(run_dir,
                                               "*.events.jsonl"))):
@@ -235,10 +142,6 @@ def build_report(run_dir: str) -> dict:
     if os.path.exists(slo_path):
         with open(slo_path, encoding="utf-8") as fh:
             report["slo"] = json.load(fh)
-    ss_path = os.path.join(run_dir, "shard_summary.json")
-    if os.path.exists(ss_path):
-        with open(ss_path, encoding="utf-8") as fh:
-            report["shard_summary"] = json.load(fh)
     links_path = os.path.join(run_dir, "links.json")
     if os.path.exists(links_path):
         with open(links_path, encoding="utf-8") as fh:
@@ -252,9 +155,6 @@ def build_report(run_dir: str) -> dict:
 
 def render_report(report: dict) -> str:
     lines = [f"run report: {report['run_dir']}"]
-    if report["shard_summary"]:
-        lines.append("")
-        lines.extend(_render_shard_summary(report["shard_summary"]))
     for a in report["events"]:
         lines.append("")
         lines.extend(_render_events(a))
@@ -269,12 +169,11 @@ def render_report(report: dict) -> str:
     if report.get("campaign"):
         lines.append("")
         lines.extend(_render_campaign(report["campaign"]))
-    if not (report["events"] or report["slo"]
-            or report["shard_summary"] or report.get("links")
+    if not (report["events"] or report["slo"] or report.get("links")
             or report.get("campaign")):
         lines.append("  (no recognized artifacts — expected "
-                     "*.events.jsonl, slo.json, shard_summary.json, "
-                     "links.json or campaign.json)")
+                     "*.events.jsonl, slo.json, links.json or "
+                     "campaign.json)")
     return "\n".join(lines)
 
 
@@ -282,12 +181,11 @@ def report_main(argv) -> int:
     ap = argparse.ArgumentParser(
         prog="python -m repro report",
         description="Render one unified report (text + JSON) from a "
-                    "traced run directory: latency breakdown, SLO "
-                    "windows, per-shard rollups, anomaly flags.")
+                    "traced run directory: op-latency rollup, SLO "
+                    "windows, anomaly flags, noisy links.")
     ap.add_argument("run_dir", metavar="RUN-DIR",
                     help="directory holding run artifacts "
-                         "(*.events.jsonl, slo.json, "
-                         "shard_summary.json)")
+                         "(*.events.jsonl, slo.json, links.json)")
     ap.add_argument("--out", default=None, metavar="DIR",
                     help="where to write report.txt/report.json "
                          "(default: the run dir itself)")

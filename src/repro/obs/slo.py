@@ -1,18 +1,16 @@
 """Streaming SLO monitor: rolling-window latency, burn rate, anomalies.
 
-The KV traffic harness (:mod:`repro.workloads.kv_traffic`) produces
-millions of flow-completion times; this module watches that stream the
+The KV traffic harness (:mod:`repro.workloads.kv_traffic`) produces a
+stream of flow-completion times; this module watches that stream the
 way a service owner would:
 
 * **windows** — completions are bucketed into fixed-width time windows
   (``window_us``).  Each window keeps its own fixed-edge log-binned
   latency histogram plus counters (violations, hits, retries, peak
-  in-flight).  Fixed window edges (``index = floor(t / window_us)``)
-  and fixed histogram edges make the cross-shard merge an elementwise
-  sum — the same layout-invariance discipline as the traffic
-  histograms, so ``shards=1/2/4`` report bit-identical windows;
-* **quantiles** — per-window p50/p99 come from the window histogram
-  (mergeable); the run-level streaming digest is the existing P²
+  in-flight), on fixed window edges (``index = floor(t / window_us)``)
+  and the traffic histograms' fixed bin edges;
+* **quantiles** — per-window p50/p99 come from the window histogram;
+  the run-level streaming digest is the existing P²
   estimator (:class:`~repro.util.quantiles.LatencyDigest`);
 * **burn rate** — each window's violation fraction over the error
   budget ``1 - slo_quantile``: burn 1.0 means "spending budget exactly
@@ -31,7 +29,7 @@ simulator, so enabling it leaves runs bit-identical.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List, Optional
 
 from repro.util.quantiles import LatencyDigest
 
@@ -58,7 +56,7 @@ def _bin_edge(idx: int) -> float:
 
 
 def hist_quantile(hist: List[int], q: float) -> float:
-    """Quantile from a (possibly merged) window histogram — the upper
+    """Quantile from a window histogram — the upper
     edge of the bin where the cumulative count crosses ``q``."""
     total = sum(hist)
     if total == 0:
@@ -164,11 +162,10 @@ class SLOMonitor:
     def sorted_windows(self) -> List[SLOWindow]:
         return [self.windows[i] for i in sorted(self.windows)]
 
-    # -- serialization / merge -----------------------------------------
+    # -- serialization -----------------------------------------
 
     def export(self) -> List[dict]:
-        """Windows as plain picklable/JSON-able dicts (shards publish
-        these; :func:`merge_window_dicts` recombines them)."""
+        """Windows as plain JSON-able dicts, in index order."""
         return [{"index": w.index, "count": w.count,
                  "violations": w.violations, "hits": w.hits,
                  "retries": w.retries, "max_inflight": w.max_inflight,
@@ -176,36 +173,11 @@ class SLOMonitor:
                  "hist": list(w.hist)}
                 for w in self.sorted_windows()]
 
-    @staticmethod
-    def merge_window_dicts(batches: Iterable[List[dict]]) -> List[dict]:
-        """Merge per-shard window exports: counts sum, histograms sum
-        elementwise, in-flight peaks take the max.  Pure arithmetic on
-        fixed-edge windows — layout-invariant by construction."""
-        merged: Dict[int, dict] = {}
-        for batch in batches:
-            for w in batch:
-                m = merged.get(w["index"])
-                if m is None:
-                    m = merged[w["index"]] = {
-                        "index": w["index"], "count": 0, "violations": 0,
-                        "hits": 0, "retries": 0, "max_inflight": 0,
-                        "policy_actions": 0,
-                        "hist": [0] * SLO_HIST_BINS}
-                m["count"] += w["count"]
-                m["violations"] += w["violations"]
-                m["hits"] += w["hits"]
-                m["retries"] += w["retries"]
-                m["max_inflight"] = max(m["max_inflight"],
-                                        w["max_inflight"])
-                m["policy_actions"] += w.get("policy_actions", 0)
-                m["hist"] = [a + b for a, b in zip(m["hist"], w["hist"])]
-        return [merged[i] for i in sorted(merged)]
-
 
 def window_stats(window: dict, *, target_us: float, window_us: float,
                  slo_quantile: float = 0.99) -> dict:
     """Derived per-window numbers (quantiles, burn rate) from one
-    exported/merged window dict."""
+    exported window dict."""
     budget = 1.0 - slo_quantile
     count = window["count"]
     frac = window["violations"] / count if count else 0.0
@@ -242,7 +214,7 @@ def detect_anomalies(windows: List[dict], *, target_us: float,
                      p99_factor: float = 2.0, min_count: int = 16,
                      warmup_windows: int = 3,
                      flap_actions: int = 4) -> List[dict]:
-    """Threshold anomaly detectors over a merged window series.
+    """Threshold anomaly detectors over an exported window series.
 
     Each flag is ``{"kind", "index", "t0_us", "t1_us", "value",
     "threshold"}``:
@@ -307,7 +279,7 @@ def detect_anomalies(windows: List[dict], *, target_us: float,
 
 def slo_summary(windows: List[dict], *, target_us: float,
                 window_us: float, slo_quantile: float = 0.99) -> dict:
-    """Run-level rollup of a merged window series (overall quantiles
+    """Run-level rollup of an exported window series (overall quantiles
     from the summed histograms, total burn, worst window)."""
     total_hist = [0] * SLO_HIST_BINS
     count = violations = hits = retries = policy_actions = 0

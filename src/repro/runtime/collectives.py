@@ -21,30 +21,8 @@ from typing import Dict, TYPE_CHECKING
 from repro.sim.event import Event
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.network.params import MachineParams, TransportParams
     from repro.runtime.runtime import Runtime
     from repro.runtime.thread import UPCThread
-    from repro.sim.shard import ShardContext
-
-
-def dissemination_cost_us(machine: "MachineParams", nnodes: int,
-                          params: "TransportParams") -> float:
-    """Inter-node phase cost of a dissemination barrier.
-
-    Single source of truth for *both* cores: :class:`BarrierManager`
-    (pooled runtime) and :class:`ShardBarrier` (sharded PDES programs)
-    charge this same formula, which is what makes barrier release
-    times comparable between a pooled run and its sharded replay.
-    Machines with a dedicated combine/broadcast network (BG/L's tree)
-    complete in near-constant time instead.
-    """
-    if nnodes <= 1:
-        return 0.5  # pure shared-memory barrier
-    if machine.collective_network_barrier_us > 0:
-        return machine.collective_network_barrier_us
-    stages = max(1, math.ceil(math.log2(nnodes)))
-    hop = machine.wire_base_us + 3 * machine.wire_per_hop_us
-    return 2 * stages * (hop + params.o_send_us + params.o_recv_us)
 
 
 class BarrierManager:
@@ -65,11 +43,18 @@ class BarrierManager:
         return self._generation
 
     def network_cost_us(self) -> float:
-        """Dissemination-phase cost across nodes (shared formula —
-        see :func:`dissemination_cost_us`)."""
-        return dissemination_cost_us(self.rt.cluster.machine,
-                                     self.rt.cluster.nnodes,
-                                     self.rt.cluster.params)
+        """Dissemination-phase cost across nodes.  Machines with a
+        dedicated combine/broadcast network (BG/L's tree) complete in
+        near-constant time instead."""
+        cluster = self.rt.cluster
+        machine, params = cluster.machine, cluster.params
+        if cluster.nnodes <= 1:
+            return 0.5  # pure shared-memory barrier
+        if machine.collective_network_barrier_us > 0:
+            return machine.collective_network_barrier_us
+        stages = max(1, math.ceil(math.log2(cluster.nnodes)))
+        hop = machine.wire_base_us + 3 * machine.wire_per_hop_us
+        return 2 * stages * (hop + params.o_send_us + params.o_recv_us)
 
     def _arrive(self, thread: "UPCThread") -> Event:
         """Register one arrival; returns this generation's release
@@ -121,94 +106,6 @@ class BarrierManager:
                 f"thread {thread.id}: upc_wait without upc_notify")
         yield release
         yield self.rt.sim.sleep(0.2)
-
-
-class ShardBarrier:
-    """``upc_barrier`` semantics for *sharded* programs.
-
-    Participants may live on any shard; arrival counting and the
-    release time are resolved by the sync coordinator
-    (:class:`repro.sim.sync.SyncCoordinator`), which releases at
-    ``max(arrival times) + cost`` — the same counter-barrier semantics
-    :class:`BarrierManager` implements inside one pooled core, with
-    the cost produced by the same :func:`dissemination_cost_us`.
-    ``generation`` disambiguates repeated barriers (coordinator names
-    are one-shot); every participant of a generation must use the same
-    number, exactly as every UPC thread passes the same barrier phase.
-    """
-
-    def __init__(self, ctx: "ShardContext", expected: int,
-                 cost_us: float, entry_us: float = 0.0,
-                 exit_us: float = 0.2, name: str = "barrier") -> None:
-        if expected < 1:
-            raise ValueError(f"expected must be >= 1, got {expected}")
-        self.ctx = ctx
-        self.expected = expected
-        self.cost_us = cost_us
-        self.entry_us = entry_us
-        self.exit_us = exit_us
-        self.name = name
-
-    def wait(self, generation: int = 0, count: int = 1):
-        """Generator: arrive and block until the global release."""
-        sim = self.ctx.sim
-        if self.entry_us:
-            yield sim.sleep(self.entry_us)
-        gate = self.ctx.barrier_arrive(
-            f"{self.name}@{generation}", self.expected,
-            self.cost_us, count=count)
-        yield gate
-        if self.exit_us:
-            yield sim.sleep(self.exit_us)
-
-
-class ShardFence:
-    """``upc_fence`` semantics for sharded programs.
-
-    Remote stores cross shard boundaries as messages, so "my writes
-    are globally visible" becomes "every write I issued has been
-    acknowledged".  A writer takes a token per acked operation
-    (:meth:`issue`), the ack handler resolves it (:meth:`ack`), and
-    :meth:`wait` blocks until all outstanding tokens resolved —
-    matching the pooled runtime's rule that a fence drains the
-    issuing thread's outstanding PUT tickets.
-    """
-
-    def __init__(self, ctx: "ShardContext") -> None:
-        self.ctx = ctx
-        self._next = 0
-        self._open: Dict[int, Event] = {}
-        self.completed = 0
-
-    @property
-    def outstanding(self) -> int:
-        return len(self._open)
-
-    def issue(self) -> int:
-        """Register one un-acked remote operation; returns its token
-        (carry it in the request so the ack can name it)."""
-        self._next += 1
-        self._open[self._next] = Event(self.ctx.sim,
-                                       name=f"fence-ack#{self._next}")
-        return self._next
-
-    def ack(self, token: int) -> None:
-        """Resolve a token (call from the ack message handler)."""
-        ev = self._open.pop(token, None)
-        if ev is None:
-            raise RuntimeError(f"unknown or duplicate fence token {token}")
-        self.completed += 1
-        ev.succeed()
-
-    def wait(self):
-        """Generator: block until every issued token was acked."""
-        while self._open:
-            # Oldest outstanding token first (dict preserves issue
-            # order); its gate resolves when the ack arrives, then the
-            # loop re-checks — acks landing meanwhile already removed
-            # themselves.
-            token = next(iter(self._open))
-            yield self._open[token]
 
 
 class Reducer:

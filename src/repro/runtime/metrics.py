@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List
 
 from repro.core.stats import CacheStats
-from repro.sim.sync import ShardMetrics
 from repro.util.quantiles import LatencyDigest
 from repro.util.stats import RunningStats
 
@@ -90,8 +89,7 @@ class RuntimeMetrics:
     policy_actions: int = 0
 
     #: Per-link reliability accounting: (src, dst) -> count.  Feeds
-    #: the top-k noisy-links rollup in :meth:`summary` and the
-    #: ``repro report`` shard rollups.
+    #: the top-k noisy-links rollup in :meth:`summary`.
     link_timeouts: Dict = field(default_factory=dict)
     link_retries: Dict = field(default_factory=dict)
 
@@ -99,14 +97,6 @@ class RuntimeMetrics:
     #: (handlers queued while no thread was polling, §4.6) — updated on
     #: every enqueue transition, not just at sampler ticks.
     max_backlog: int = 0
-
-    #: Per-shard accounting when the run used the sharded PDES core
-    #: (``Simulator(shards=N)``); empty for pooled/legacy runs.
-    shards: List[ShardMetrics] = field(default_factory=list)
-
-    def attach_shards(self, shard_metrics: List[ShardMetrics]) -> None:
-        """Adopt the per-shard metrics of a sharded run."""
-        self.shards = list(shard_metrics)
 
     def link_timeout(self, src: int, dst: int) -> None:
         key = (src, dst)
@@ -118,8 +108,7 @@ class RuntimeMetrics:
 
     def noisy_links(self, k: int = 5) -> List[Dict]:
         """Top-``k`` links by (timeouts, retries) — the triage list a
-        repair policy would act on, and what ``repro report`` renders
-        in its shard rollups."""
+        repair policy would act on."""
         keys = set(self.link_timeouts) | set(self.link_retries)
         rows = [{"src": src, "dst": dst,
                  "timeouts": self.link_timeouts.get((src, dst), 0),
@@ -157,42 +146,8 @@ class RuntimeMetrics:
         n = self.remote_ops
         return (self.rdma_gets + self.rdma_puts) / n if n else 0.0
 
-    def shard_summary(self) -> Dict[str, float]:
-        """Rollups across shards, folded with the same
-        :class:`RunningStats` merge the latency paths use."""
-        ev = RunningStats()
-        ev.extend(s.events for s in self.shards)
-        stalls = RunningStats()
-        stalls.extend(s.stall_grains for s in self.shards)
-        backlog = RunningStats()
-        backlog.extend(s.max_backlog for s in self.shards)
-        return {
-            "shards": len(self.shards),
-            "shard_events_total": int(ev.total),
-            "shard_events_mean": ev.mean,
-            "shard_events_max": int(ev.max) if ev.n else 0,
-            "sync_rounds": max((s.grains for s in self.shards),
-                               default=0),
-            "sync_stall_grains": int(stalls.total),
-            "sync_stall_mean": stalls.mean,
-            "channel_bytes": sum(s.channel_bytes for s in self.shards),
-            "channel_msgs": sum(s.msgs_sent for s in self.shards),
-            "shard_max_backlog": int(backlog.max) if backlog.n else 0,
-            "shard_final_clock_us": max(
-                (s.final_clock_us for s in self.shards), default=0.0),
-        }
-
     def summary(self) -> Dict[str, float]:
         """Flat dict for table rendering."""
-        out = self._base_summary()
-        if self.shards:
-            out.update(self.shard_summary())
-            out["max_backlog"] = max(
-                int(out["max_backlog"]),
-                max(s.max_backlog for s in self.shards))
-        return out
-
-    def _base_summary(self) -> Dict[str, float]:
         return {
             "remote_gets": self.get_remote.n,
             "remote_get_mean_us": self.get_remote.mean,

@@ -181,6 +181,7 @@ class OpEngine:
                                                           op_id=op_id)
             if ok:
                 rt.metrics.rdma_gets += 1
+                thread.rdma_ops += 1
                 return "rdma"
             # Completion timeout: the cached address is suspect — drop
             # exactly that entry (O(1)) and degrade to the AM path,
@@ -190,6 +191,7 @@ class OpEngine:
         # Slow path (Figure 3a / Figure 5): default protocol, asking
         # the target to piggyback its arena base address.
         rt.metrics.am_gets += 1
+        thread.am_ops += 1
         piggy = rt.config.piggyback
         if piggy.needs_dedicated_fetch:
             # Ablation strawman: a separate address-fetch round trip,
@@ -370,6 +372,7 @@ class OpEngine:
                     src, dst, nbytes, op_id=op_id)
                 if ticket is not None:
                     rt.metrics.rdma_puts += 1
+                    thread.rdma_ops += 1
                     self._apply_on(ticket.remote_applied, array,
                                    snapshots)
                     thread.track_put(ticket.remote_applied)
@@ -382,6 +385,7 @@ class OpEngine:
         # Default protocol; the ACK piggybacks the address home
         # (asynchronously — off the initiator's critical path).
         rt.metrics.am_puts += 1
+        thread.am_ops += 1
         piggy = rt.config.piggyback
         want_addr = piggy.wants_address and rt.use_rdma_put
         handler = self._make_get_handler(

@@ -45,6 +45,10 @@ class UPCThread:
         self._outstanding_puts: List[Event] = []
         #: Deterministic per-thread RNG for workloads.
         self.rng = seeded_rng(runtime.config.seed, thread_id)
+        #: Remote data accesses this thread resolved over RDMA (address
+        #: cache hit) and over the AM path (miss, RDMA fallback, RPC).
+        self.rdma_ops = 0
+        self.am_ops = 0
 
     # -- identity -------------------------------------------------------
 

@@ -75,7 +75,7 @@ def bucket_of(key: int, nbuckets: int) -> int:
     """The bucket serving ``key``.
 
     Identity-mod hashing keeps the mapping transparent to the test
-    oracle and the sharded skeleton (both recompute it independently);
+    oracle (which recomputes it independently);
     key universes in tests are chosen to collide anyway.
     """
     return key % nbuckets
@@ -430,6 +430,7 @@ class KVStore:
         if home == th.node.id:
             yield rt.sim.sleep(rt.cluster.params.shm_access_us)
             return self._apply(verb, args)
+        th.am_ops += 1
         p = rt.cluster.params
         cost = p.svd_lookup_us + _SCAN_US_PER_SLOT * self.slots_per_bucket
 

@@ -45,25 +45,7 @@ class Simulator:
     __slots__ = ("now", "_heap", "_seq", "_nevents", "pooled",
                  "_lane", "_entry_pool", "_event_pool")
 
-    def __new__(cls, pooled: bool = True, shards: Optional[int] = None,
-                **kw):
-        # ``Simulator(shards=N)`` is the sharded-PDES entry point: for
-        # N > 1 it hands back a ShardedSimulator (a coordinator over N
-        # per-node-group pooled cores, not a Simulator subclass —
-        # __init__ below is intentionally skipped for it).  N in
-        # (None, 0, 1) degenerates to this class: one shard *is* the
-        # pooled core.
-        if cls is Simulator and shards is not None and shards > 1:
-            from repro.sim.shard import ShardedSimulator
-            return ShardedSimulator(nshards=shards, **kw)
-        return object.__new__(cls)
-
-    def __init__(self, pooled: bool = True,
-                 shards: Optional[int] = None, **kw) -> None:
-        if kw:
-            raise TypeError(
-                f"unexpected Simulator() arguments {sorted(kw)} "
-                "(sharded-only options require shards > 1)")
+    def __init__(self, pooled: bool = True) -> None:
         #: Current virtual time in microseconds.
         self.now: float = 0.0
         self._heap: List[Any] = []
@@ -339,80 +321,6 @@ class Simulator:
                     ev._process()
         finally:
             self._nevents += n
-
-    def run_before(self, bound: float) -> int:
-        """Process every event with ``t < bound`` (strict); return the
-        number processed.
-
-        This is the grain primitive of the sharded PDES core: a shard
-        may only execute events strictly below its conservative
-        horizon, because an event *at* the horizon could still be
-        preempted by a message arriving exactly there.  Unlike
-        :meth:`run`'s ``until`` handling the clock is **not** advanced
-        to ``bound`` — it stays at the last processed event so the
-        shard's report reflects real progress, and ``bound`` may be
-        ``inf`` (final drain).
-        """
-        lane = self._lane
-        heap = self._heap
-        pop = heapq.heappop
-        n = 0
-        if self.pooled:
-            entry_push = self._entry_pool.append
-            event_push = self._event_pool.append
-            pooled_cls = _PooledEvent
-            try:
-                while True:
-                    if lane:
-                        entry = lane[0]
-                        # Lane head time is the queue minimum (see
-                        # peek): at/after the bound means we're done.
-                        if entry[0] >= bound:
-                            return n
-                        top = heap[0] if heap else None
-                        if (top is not None and top[0] <= entry[0]
-                                and top[1] < entry[1]):
-                            entry = pop(heap)
-                        else:
-                            lane.popleft()
-                    elif heap:
-                        if heap[0][0] >= bound:
-                            return n
-                        entry = pop(heap)
-                    else:
-                        return n
-                    self.now = entry[0]
-                    n += 1
-                    ev = entry[2]
-                    entry[2] = None
-                    entry_push(entry)
-                    # Dispatch inlined exactly as in _run_fast.
-                    if ev.__class__ is pooled_cls:
-                        ev._status = 2  # PROCESSED
-                        cb = ev._cb
-                        if cb is not None:
-                            ev._cb = None
-                            cb(ev)
-                        callbacks = ev._callbacks
-                        if callbacks:
-                            for fn in callbacks:
-                                fn(ev)
-                            callbacks.clear()
-                        event_push(ev)
-                    else:
-                        ev._process()
-            finally:
-                self._nevents += n
-        # Legacy core: immutable tuple entries, heap only.
-        try:
-            while heap and heap[0][0] < bound:
-                entry = pop(heap)
-                self.now = entry[0]
-                n += 1
-                entry[2]._process()
-        finally:
-            self._nevents += n
-        return n
 
     def run_process(self, gen: Generator, name: str = "",
                     max_events: Optional[int] = None) -> Any:

@@ -62,13 +62,8 @@ def find_outliers(tracer: Tracer, state: str, factor: float = 4.0,
     return [r for r in records if r.duration > threshold]
 
 
-def render_profile(tracer: Tracer, metrics=None) -> str:
-    """Human-readable time-by-state table.
-
-    ``metrics`` (a :class:`~repro.runtime.metrics.RuntimeMetrics` with
-    shard metrics attached) appends the sharded core's per-shard
-    rollup below the state table, so one call renders the whole
-    profile of a sharded run."""
+def render_profile(tracer: Tracer) -> str:
+    """Human-readable time-by-state table."""
     prof = profile(tracer)
     lines = [f"{'state':>12} {'count':>7} {'total_us':>12} "
              f"{'mean_us':>9} {'max_us':>9} {'share':>6}"]
@@ -81,19 +76,4 @@ def render_profile(tracer: Tracer, metrics=None) -> str:
         lines.append(f"({tracer.dropped_records} record(s) dropped at "
                      f"the max_records={tracer.max_records} cap; "
                      "totals undercount the run's tail)")
-    if metrics is not None and getattr(metrics, "shards", None):
-        s = metrics.shard_summary()
-        lines.append(
-            f"shards: {s['shards']} — {s['sync_rounds']} sync rounds, "
-            f"{s['sync_stall_grains']} stall grains "
-            f"(mean {s['sync_stall_mean']:.2f}/shard), "
-            f"{s['channel_msgs']} channel msgs / "
-            f"{s['channel_bytes']:,} bytes")
-        for m in metrics.shards:
-            d = m.as_dict()
-            lines.append(
-                f"  shard {d['shard']}: nodes {d['nodes'][0]}.."
-                f"{d['nodes'][1] - 1}, {d['events']} events, "
-                f"backlog {d['max_backlog']}, clock "
-                f"{d['final_clock_us']:.1f}us, busy {d['busy_s']:.3f}s")
     return "\n".join(lines)

@@ -1,33 +1,30 @@
-"""Open-loop KV service traffic on the sharded event core.
+"""Open-loop KV service traffic on the XLUPC runtime.
 
-The service-level companion to the corpus skeleton: where the fuzz
-suite proves the KV *semantics* (differential vs. a flat-dict oracle),
-this module measures the KV *service* — flow-completion time (FCT) of
-millions of Zipf-keyed requests against bucket servers, under the two
-access paths the runtime offers:
+The service-level companion to the fuzz suite: where the differential
+fuzzer proves the KV store's *semantics*, this module measures the KV
+*service* — the flow-completion time (FCT) of Zipf-keyed requests that
+UPC client threads issue through :class:`~repro.service.KVStore` on a
+:class:`~repro.runtime.Runtime`:
 
-* a per-client remote-address cache **hit** models the one-sided path
-  (the NIC serves the bucket; no software on the server's critical
-  path), and
-* a **miss** models the AM/RPC path (dispatch + SVD lookup + handler
-  CPU, plus the bucket scan), after which the client installs the
-  bucket address in its LRU cache.
-
-Clients are **open loop**: each one draws Poisson arrivals and Zipfian
-keys up front and fires requests at their scheduled instants without
-ever waiting for replies, so service-time inflation shows up as FCT
-growth instead of silently throttling offered load.  Connections are
-persistent — the first request a client sends toward a server node
-pays a one-time setup round trip, folded into that request's latency.
-
-Layout invariance is engineered the same way as everywhere else in
-the sharded core: every random stream is keyed by *entity* (client id)
-through :class:`~repro.util.rng.StreamFamily`, all client state
-(LRU cache, connection set) is mutated at issue time by the client's
-own process, reply handlers are instantaneous, and FCTs land in
-fixed-edge log-binned histograms whose cross-shard merge is an
-elementwise sum — so ``shards=1/2/4`` produce bit-identical counts,
-digests and quantiles.
+* **open loop** — every UPC thread is a client whose requests fall due
+  at Poisson arrival instants whether or not its previous request is
+  done.  FCT runs from the due time to the return of the
+  ``KVStore.get/put`` call, so a request issued late counts its wait
+  and offered load shows up as queueing (in the home nodes' progress
+  engines and NICs, and on the stripe locks);
+* **hit / miss** — a request is a *hit* when every remote access it
+  made resolved over RDMA through the runtime's remote-address cache,
+  a *miss* when any resolved to the AM path (cache miss, RDMA
+  fallback).  A request whose bucket lives on the client's own node is
+  *local* and counts as neither;
+* **faults** — a link trace and repair policy configure the runtime's
+  own fault injector, transport reliability layer and
+  :meth:`KVStore._path` failover; a request whose retransmits are
+  exhausted is counted as a failure;
+* **observers** — FCTs land in fixed-edge 256-bin log histograms, and
+  the streaming SLO monitor (:mod:`repro.obs.slo`) watches the same
+  completions.  Neither schedules a simulator event, so the same
+  parameters reproduce the same run exactly.
 """
 
 from __future__ import annotations
@@ -37,60 +34,36 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.faults.health import HealthTracker
-from repro.faults.policy import (PolicyConfig, PolicyEngine,
-                                 decisions_digest)
-from repro.faults.trace import LinkTrace, fate_u01
-from repro.network.params import MACHINES, MachineParams
-from repro.network.partition import lookahead_matrix, partition_nodes
-from repro.network.topology import make_topology
-from repro.obs.events import OP_BEGIN, OP_END, POLICY_ACTION
+from repro.faults.policy import decisions_digest
+from repro.faults.reliability import ReliabilityError
+from repro.faults.trace import LinkTrace, make_trace
+from repro.network.params import MACHINES
+from repro.obs.events import EventLog
 from repro.obs.slo import SLOMonitor, detect_anomalies, slo_summary
-from repro.sim.shard import ShardContext, ShardedSimulator
-from repro.util.rng import StreamFamily
-from repro.workloads.sharded import _commute_hash, _tq
-
-_MASK64 = (1 << 64) - 1
+from repro.runtime.runtime import Runtime, RuntimeConfig
+from repro.service.kvstore import kv_create
+from repro.util.rng import seeded_rng
 
 #: Fixed histogram geometry: 256 log-spaced bins over [0.1 µs, 1 s].
-#: Fixed edges are what make the merge an elementwise sum.
 HIST_BINS = 256
 _HIST_LO_US = 0.1
 _HIST_HI_US = 1e6
 _LOG_LO = math.log(_HIST_LO_US)
 _LOG_SPAN = math.log(_HIST_HI_US) - _LOG_LO
 
-_GET_REQ_BYTES = 64
-_PUT_REQ_BYTES = 72
-_GET_REP_BYTES = 40
-_PUT_REP_BYTES = 32
-_CONN_BYTES = 64
-#: Server-side cost of accepting a persistent connection (beyond the
-#: handshake round trip itself).
-_CONN_SETUP_US = 5.0
-#: Bucket scan charged by the AM handler, per slot.
-_KV_SCAN_US = 0.02
-#: Extra handler cost of a mutating request (lock + write-back).
-_PUT_EXTRA_US = 0.3
+#: Stripe locks serializing one-sided PUTs (owners spread over nodes).
+_NLOCKS = 16
 
-#: Retransmit model under a link trace (client-side, planned whole at
-#: issue time so the fate chain is a pure function of identity).
-_TRACE_TIMEOUT_US = 30.0
-_TRACE_BACKOFF_US = 8.0
-_TRACE_BACKOFF_FACTOR = 2.0
-_TRACE_BACKOFF_MAX_US = 64.0
-_TRACE_MAX_RETRIES = 24
-#: A retry on the one-sided path pays RDMA invalidation + AM address
-#: re-validation on top of the retransmit (the Storm asymmetry that
-#: makes ``path_failover`` worthwhile under sustained loss).
-_ONESIDED_RETRY_PENALTY_US = 12.0
-#: Digest salt folding the per-request fate chain (retries, failures)
-#: into the per-client digest.
-_FATE_SALT = 0x7ACE
+#: Stream salt of the per-client traffic generators.
+_STREAM = 0x4B56
+
+#: Independently seeded links one scenario shape degrades at once (see
+#: :func:`scenario_trace`).
+SCENARIO_LINKS = 16
 
 
 def hist_edges() -> np.ndarray:
-    """The (BINS + 1) bin edges in µs, shared by every shard."""
+    """The (BINS + 1) bin edges in µs."""
     return np.exp(_LOG_LO + _LOG_SPAN * np.arange(HIST_BINS + 1)
                   / HIST_BINS)
 
@@ -103,9 +76,8 @@ def _bin_of(fct_us: float) -> int:
 
 
 def hist_quantile(hist: np.ndarray, q: float) -> float:
-    """Quantile from a merged histogram: the upper edge of the bin
-    where the cumulative count crosses ``q`` — a pure function of the
-    summed counts, hence layout-invariant."""
+    """Quantile from a histogram: the upper edge of the bin where the
+    cumulative count crosses ``q``."""
     total = int(hist.sum())
     if total == 0:
         return 0.0
@@ -116,9 +88,8 @@ def hist_quantile(hist: np.ndarray, q: float) -> float:
 
 def hist_cdf(hist: np.ndarray) -> list:
     """FCT CDF points ``[latency_us, cum_frac]`` at the upper edge of
-    every occupied histogram bin — a pure function of the merged
-    counts, hence layout-invariant.  Shared by the lossy-fabric bench
-    and the campaign renderer (linkguardian-style per-policy CDFs)."""
+    every occupied histogram bin.  Shared by the lossy-fabric bench and
+    the campaign renderer (linkguardian-style per-policy CDFs)."""
     total = int(hist.sum())
     if total == 0:
         return []
@@ -144,8 +115,7 @@ class ZipfianKeys:
 
     def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """``n`` keys as int64 — a pure function of the generator
-        state, so entity-keyed generators give layout-invariant
-        streams."""
+        state."""
         return np.searchsorted(self._cdf, rng.random(n),
                                side="right").astype(np.int64)
 
@@ -169,26 +139,29 @@ class PoissonArrivals:
 
 @dataclass
 class TrafficParams:
-    """One KV-traffic experiment."""
+    """One KV-traffic experiment.  Every client is a UPC thread; the
+    ``nclients`` threads spread evenly over ``nnodes`` nodes."""
 
     nnodes: int = 8
     nclients: int = 32
     nkeys: int = 4096
-    nbuckets: int = 512
+    #: Two keys per bucket on average (``key % nbuckets``), so four
+    #: slots never fill.
+    nbuckets: int = 2048
     slots_per_bucket: int = 4
-    requests: int = 100_000          # total across all clients
-    mean_gap_us: float = 2.0         # per-client inter-arrival mean
+    requests: int = 20_000           # total across all clients
+    #: Per-client inter-arrival mean: 70 µs leaves the GM home nodes
+    #: unsaturated; around 20 µs they saturate.
+    mean_gap_us: float = 70.0
     zipf_s: float = 0.9
     put_frac: float = 0.1
-    cache_capacity: int = 16         # per-client bucket-address LRU
     seed: int = 0
     machine: str = "gm"
     #: SLO latency target in µs; 0 disables the streaming monitor.
     slo_target_us: float = 0.0
     #: SLO rolling-window width (µs of virtual time).
     slo_window_us: float = 5000.0
-    #: Link-trace JSON (``LinkTrace.to_json()``); "" = healthy fabric,
-    #: taking the exact pre-trace code path.
+    #: Link-trace JSON (``LinkTrace.to_json()``); "" = healthy fabric.
     link_trace: str = ""
     #: Repair policy name (:data:`repro.faults.POLICIES`); "" = none.
     #: Requires a link trace to observe.
@@ -200,25 +173,28 @@ class TrafficParams:
 
 @dataclass
 class TrafficResult:
-    """Merged, layout-invariant outcome of one traffic run."""
+    """Outcome of one traffic run."""
 
+    #: Completed requests (``failures`` exhausted their retransmits).
     requests: int
+    failures: int
     hits: int
     misses: int
-    conns: int
     puts: int
     gets: int
     hist: np.ndarray
     hist_hit: np.ndarray
     hist_miss: np.ndarray
-    digests: dict
+    #: Final virtual time (µs) and simulator events processed.
     now: float
     events: int
     extra: dict = field(default_factory=dict)
 
     @property
     def hit_rate(self) -> float:
-        return self.hits / self.requests if self.requests else 0.0
+        """Hits over the requests that went remote."""
+        remote = self.hits + self.misses
+        return self.hits / remote if remote else 0.0
 
     def quantiles(self) -> dict:
         return {
@@ -231,429 +207,157 @@ class TrafficResult:
         }
 
 
-class _ClientLRU:
-    """Bucket-address LRU; dict insertion order is the recency list."""
-
-    __slots__ = ("cap", "_d")
-
-    def __init__(self, cap: int) -> None:
-        self.cap = cap
-        self._d = {}
-
-    def touch(self, bucket: int) -> bool:
-        d = self._d
-        if bucket in d:
-            del d[bucket]
-            d[bucket] = True
-            return True
-        if len(d) >= self.cap:
-            del d[next(iter(d))]
-        d[bucket] = True
-        return False
+def scenario_trace(shape: str, p: TrafficParams, trace_seed: int = 0,
+                   **kw) -> LinkTrace:
+    """``SCENARIO_LINKS`` independently seeded links of one scenario
+    shape (:func:`repro.faults.trace.make_trace`; ``kw`` overrides its
+    generator) over the traffic's whole arrival window: enough lost
+    messages per run that the tail the faults cause is measured on
+    hundreds of requests, not a handful."""
+    kw.setdefault("horizon_us", p.per_client() * p.mean_gap_us)
+    rules = {}
+    for k in range(SCENARIO_LINKS):
+        for rule in make_trace(shape, p.nnodes, trace_seed + k,
+                               **kw).links:
+            rules.setdefault((rule.src, rule.dst), rule)
+    return LinkTrace(seed=trace_seed, name=shape,
+                     links=tuple(rules.values()))
 
 
-class _TrafficCore:
-    """Per-shard traffic state: the clients homed here, their caches
-    and connection sets, and this shard's share of the histograms."""
-
-    def __init__(self, ctx: ShardContext, p: TrafficParams,
-                 part, lo: int, hi: int) -> None:
-        self.ctx = ctx
-        self.p = p
-        self.sim = ctx.sim
-        m = MACHINES[p.machine]
-        self.t = m.transport
-        self.topo = make_topology(m, p.nnodes)
-        self.part = part
-        fam = StreamFamily(p.seed, "kv-traffic")
-        self.fam = fam
-        self.zipf = ZipfianKeys(p.nkeys, p.zipf_s)
-        self.arrivals = PoissonArrivals(p.mean_gap_us)
-        self.hist = np.zeros(HIST_BINS, dtype=np.int64)
-        self.hist_hit = np.zeros(HIST_BINS, dtype=np.int64)
-        self.hist_miss = np.zeros(HIST_BINS, dtype=np.int64)
-        self.counts = {"requests": 0, "hits": 0, "misses": 0,
-                       "conns": 0, "puts": 0, "gets": 0,
-                       "failures": 0}
-        self.digests = {}
-        #: Lossy-fabric plane: a time-evolving link trace plus an
-        #: optional repair policy observing per-link health.  All three
-        #: stay ``None`` on a healthy fabric so the pre-trace code path
-        #: (and its bit-exact digests) is untouched.
-        self.trace = (LinkTrace.from_json(p.link_trace)
-                      if p.link_trace else None)
-        if self.trace is not None and self.trace.empty:
-            self.trace = None
-        self.health = None
-        self.policy = None
-        if p.repair_policy and self.trace is None:
-            raise ValueError(
-                "repair_policy needs a link trace to observe — "
-                "set link_trace too")
-        if self.trace is not None:
-            pcfg = PolicyConfig()
-            self.health = HealthTracker(pcfg.window_us)
-            if p.repair_policy:
-                self.policy = PolicyEngine(
-                    p.repair_policy, pcfg, self.health,
-                    nnodes=p.nnodes, on_decision=self._on_decision)
-        #: Streaming SLO monitor (pure bookkeeping — never schedules
-        #: sim events, so enabling it leaves runs bit-identical).
-        self.slo = (SLOMonitor(p.slo_target_us, p.slo_window_us)
-                    if p.slo_target_us > 0 else None)
-        #: Outstanding requests per client node (gauge fed to the SLO
-        #: monitor; maintained only when it exists).  Keyed by *node*,
-        #: not shard: a node's clients and their replies always live on
-        #: one shard, so the gauge is layout-invariant.
-        self.inflight = {}
-        #: Flight recorder + pending (client, seq) -> op-id map for
-        #: request spans; populated only when recording is on, and
-        #: never rides in message payloads.
-        self.log = ctx.log
-        self._ops = {}
-        self._am_extra = (self.t.dispatch_us + self.t.svd_lookup_us
-                          + self.t.handler_cpu_us
-                          + _KV_SCAN_US * p.slots_per_bucket)
-        for client in range(p.nclients):
-            node = client % p.nnodes
-            if lo <= node < hi:
-                ctx.spawn(self.client(client, node),
-                          name=f"kv-client{client}")
-
-    # -- wire model ----------------------------------------------------
-
-    def _latency(self, src: int, dst: int, nbytes: int,
-                 extra: float = 0.0) -> float:
-        return (self.topo.latency(src, dst)
-                + self.t.wire_time(nbytes) + extra)
-
-    def server_of(self, key: int) -> tuple:
-        bucket = key % self.p.nbuckets
-        return bucket, bucket % self.p.nnodes
-
-    # -- client (open loop; never blocks on a reply) -------------------
-
-    def client(self, client: int, node: int):
-        p, sim, t = self.p, self.sim, self.t
-        n = p.per_client()
-        sched = self.arrivals.schedule(
-            self.fam.child("arrivals").rng(client), n)
-        keys = self.zipf.draw(self.fam.child("keys").rng(client), n)
-        puts = self.fam.child("ops").rng(client).random(n) < p.put_frac
-        cache = _ClientLRU(p.cache_capacity)
-        connected = set()
-        now = 0.0
-        for seq in range(n):
-            gap = float(sched[seq]) - now
-            now = float(sched[seq])
-            yield sim.sleep(gap)
-            key = int(keys[seq])
-            is_put = bool(puts[seq])
-            bucket, server = self.server_of(key)
-            extra = t.o_sw_us + t.o_send_us
-            if server not in connected:
-                connected.add(server)
-                self.counts["conns"] += 1
-                # Persistent-connection setup: one extra round trip
-                # folded into this first request's latency.
-                extra += (2 * self._latency(node, server, _CONN_BYTES)
-                          + _CONN_SETUP_US)
-            hit = cache.touch(bucket)
-            req_bytes = _PUT_REQ_BYTES if is_put else _GET_REQ_BYTES
-            if self.slo is not None:
-                self.inflight[node] = self.inflight.get(node, 0) + 1
-            if self.log.enabled:
-                op = self.log.next_op_id()
-                self.log.emit(sim.now, OP_BEGIN, op=op, thread=client,
-                              node=node, name="kv_req", key=key,
-                              hit=hit, put=is_put, nbytes=req_bytes)
-                self._ops[(client, seq)] = op
-            if self.trace is None:
-                self.ctx.send(
-                    self.part.shard_of(server), "kv_req",
-                    (server, node, client, seq, hit, is_put,
-                     _tq(sim.now)),
-                    latency=self._latency(node, server, req_bytes,
-                                          extra),
-                    nbytes=req_bytes)
-            else:
-                self._issue_traced(client, node, seq, server, hit,
-                                   is_put, req_bytes, extra)
-
-    # -- lossy-fabric issue path ---------------------------------------
-
-    def _issue_traced(self, client: int, node: int, seq: int,
-                      server: int, hit: bool, is_put: bool,
-                      req_bytes: int, extra: float) -> None:
-        """Issue one request under the link trace: plan the whole
-        retransmit chain now, as a pure function of (trace seed, client,
-        seq, attempt) hash draws and the policy's mode at each attempt
-        instant — no RNG state, no reply-time feedback — so the fate
-        sequence and every policy decision are bit-identical across
-        shard layouts.  Only the surviving attempt crosses the shard
-        boundary (its latency includes all the waiting, so it is never
-        below the topology lookahead)."""
-        t0 = self.sim.now
-        tr = self.trace
-        eng = self.policy
-        seed = tr.seed
-        attempt = 0
-        t_try = t0
-        failed = False
-        mode = None
-        d_req = d_rep = 0.0
-        while True:
-            mode = (eng.mode_of(node, server, t_try, horizon=t0)
-                    if eng is not None else None)
-            detoured = (mode is not None and mode.mode == "disabled"
-                        and mode.via is not None)
-            if detoured:
-                # Traffic no longer crosses the sick segment: no loss,
-                # no trace delay — the detour's cost is wire distance.
-                dropped = False
-                d_req = d_rep = 0.0
-            else:
-                d_req = tr.at(node, server, t_try)[2]
-                d_rep = tr.at(server, node, t_try)[2]
-                dropped = (
-                    fate_u01(seed, client, seq, attempt, 0)
-                    < tr.drop_prob(node, server, t_try)
-                    or fate_u01(seed, client, seq, attempt, 1)
-                    < tr.drop_prob(server, node, t_try))
-            if self.health is not None:
-                self.health.record(
-                    t_try, node, server, attempts=1,
-                    timeouts=1 if dropped else 0,
-                    deliveries=0 if dropped else 1)
-            if not dropped:
-                break
-            tscale = mode.timeout_scale if mode is not None else 1.0
-            bscale = mode.backoff_scale if mode is not None else 1.0
-            timeout = _TRACE_TIMEOUT_US * tscale
-            if self.health is not None:
-                self.health.record(t_try + timeout, node, server,
-                                   retries=1)
-            if attempt >= _TRACE_MAX_RETRIES:
-                failed = True
-                break
-            backoff = min(_TRACE_BACKOFF_MAX_US,
-                          _TRACE_BACKOFF_US
-                          * _TRACE_BACKOFF_FACTOR ** attempt)
-            t_try = t_try + timeout + backoff * bscale
-            attempt += 1
-        # Fold the fate chain into the digest so replay bit-identity
-        # covers retries and exhausted requests, not just completions.
-        self.digests[client] = (
-            self.digests.get(client, 0)
-            + _commute_hash(seq, attempt, int(failed), _FATE_SALT)
-        ) & _MASK64
-        if failed:
-            self.counts["failures"] += 1
-            if self.slo is not None:
-                self.inflight[node] = self.inflight.get(node, 0) - 1
-            if self.log.enabled:
-                op = self._ops.pop((client, seq), -1)
-                if op >= 0:
-                    self.log.emit(self.sim.now, OP_END, op=op,
-                                  thread=client, node=node,
-                                  failed=True, attempts=attempt + 1)
-            return
-        failover = mode is not None and mode.mode == "failover"
-        onesided = hit and not failover
-        service = 0.0 if onesided else self._am_extra
-        if is_put:
-            service += _PUT_EXTRA_US
-        if attempt and onesided:
-            service += attempt * _ONESIDED_RETRY_PENALTY_US
-        det_req = det_rep = 0.0
-        if (mode is not None and mode.mode == "disabled"
-                and mode.via is not None):
-            via = mode.via
-            lat = self.topo.latency
-            det_req = max(0.0, lat(node, via) + lat(via, server)
-                          - lat(node, server))
-            det_rep = max(0.0, lat(server, via) + lat(via, node)
-                          - lat(server, node))
-        self.ctx.send(
-            self.part.shard_of(server), "kv_treq",
-            (server, node, client, seq, hit, is_put, _tq(t0),
-             service + d_rep + det_rep),
-            latency=((t_try - t0)
-                     + self._latency(node, server, req_bytes,
-                                     extra + d_req + det_req)),
-            nbytes=req_bytes)
-
-    def _on_decision(self, decision: dict) -> None:
-        """Policy decision hook: feed the SLO monitor's per-window
-        action counter and the flight recorder.  Decisions fire during
-        issue-time ``mode_of`` folds on the link's owning shard, so
-        both observations are layout-invariant."""
-        if self.slo is not None:
-            self.slo.observe_policy_action(decision["t_us"])
-        if self.log.enabled:
-            self.log.emit(self.sim.now, POLICY_ACTION,
-                          node=decision["src"], dst=decision["dst"],
-                          action=decision["action"],
-                          mode=decision["mode"],
-                          t_us=decision["t_us"],
-                          policy=decision["policy"])
-
-    # -- handlers (instantaneous; costs ride in reply latency) ---------
-
-    def handle_req(self, payload) -> None:
-        server, node, client, seq, hit, is_put, t0 = payload
-        service = 0.0 if hit else self._am_extra
-        if is_put:
-            service += _PUT_EXTRA_US
-        rep_bytes = _PUT_REP_BYTES if is_put else _GET_REP_BYTES
-        self.ctx.send(
-            self.part.shard_of(node), "kv_rep",
-            (client, seq, hit, is_put, t0),
-            latency=self._latency(server, node, rep_bytes, service),
-            nbytes=rep_bytes)
-
-    def handle_treq(self, payload) -> None:
-        """Traced-path request: the client planned the retransmit chain
-        and pre-folded service + trace delay + detour into ``svc``; the
-        reply rides the ordinary ``kv_rep`` path."""
-        server, node, client, seq, hit, is_put, t0, svc = payload
-        rep_bytes = _PUT_REP_BYTES if is_put else _GET_REP_BYTES
-        self.ctx.send(
-            self.part.shard_of(node), "kv_rep",
-            (client, seq, hit, is_put, t0),
-            latency=self._latency(server, node, rep_bytes, svc),
-            nbytes=rep_bytes)
-
-    def handle_rep(self, payload) -> None:
-        client, seq, hit, is_put, t0 = payload
-        fct = self.sim.now + self.t.o_recv_us - t0 / 1e6
-        b = _bin_of(fct)
-        self.hist[b] += 1
-        (self.hist_hit if hit else self.hist_miss)[b] += 1
-        c = self.counts
-        c["requests"] += 1
-        c["hits" if hit else "misses"] += 1
-        c["puts" if is_put else "gets"] += 1
-        self.digests[client] = (
-            self.digests.get(client, 0)
-            + _commute_hash(seq, int(hit), int(is_put), _tq(fct))
-        ) & _MASK64
-        if self.slo is not None:
-            node = client % self.p.nnodes
-            infl = self.inflight.get(node, 0)
-            self.inflight[node] = infl - 1
-            self.slo.observe(self.sim.now, fct, hit=hit, inflight=infl)
-        if self.log.enabled:
-            op = self._ops.pop((client, seq), -1)
-            if op >= 0:
-                self.log.emit(self.sim.now, OP_END, op=op,
-                              thread=client, node=client % self.p.nnodes,
-                              fct_us=fct, hit=hit, put=is_put)
+def _runtime_config(p: TrafficParams, events) -> RuntimeConfig:
+    if p.nclients % p.nnodes:
+        raise ValueError(f"nclients={p.nclients} does not spread evenly "
+                         f"over nnodes={p.nnodes}")
+    trace = LinkTrace.from_json(p.link_trace) if p.link_trace else None
+    if trace is not None and trace.empty:
+        trace = None
+    if p.repair_policy and trace is None:
+        raise ValueError("repair_policy needs a link trace to observe — "
+                         "set link_trace too")
+    return RuntimeConfig(machine=MACHINES[p.machine], nthreads=p.nclients,
+                         threads_per_node=p.nclients // p.nnodes,
+                         seed=p.seed, events=events, link_trace=trace,
+                         repair_policy=p.repair_policy or None)
 
 
-def build_traffic_shard(ctx: ShardContext, params: dict) -> None:
-    """Shard-program builder (picklable via the params dict)."""
-    p = TrafficParams(**params)
-    part = partition_nodes(p.nnodes, ctx.nshards)
-    lo, hi = part.range_of(ctx.shard)
-    ctx.set_nodes(lo, hi)
-    core = _TrafficCore(ctx, p, part, lo, hi)
-    ctx.on_message("kv_req", core.handle_req)
-    ctx.on_message("kv_treq", core.handle_treq)
-    ctx.on_message("kv_rep", core.handle_rep)
-    ctx.publish("hist", core.hist)
-    ctx.publish("hist_hit", core.hist_hit)
-    ctx.publish("hist_miss", core.hist_miss)
-    ctx.publish("counts", core.counts)
-    ctx.publish("digests", core.digests)
-    # The monitor object itself rides back (its final window state is
-    # what matters; it is plain picklable Python).
-    ctx.publish("slo", core.slo)
-    # Lossy-fabric outputs.  Each link's health and decisions live
-    # wholly on its source node's shard, so the merges (commutative
-    # counter sums, a summed-hash digest) are layout-invariant.  The
-    # engine itself holds an unpicklable callback; its decisions list
-    # (mutated in place, plain dicts) is what rides back.
-    ctx.publish("links", core.health)
-    ctx.publish("decisions",
-                core.policy.decisions if core.policy else None)
+def run_kv_traffic(p: TrafficParams, *,
+                   trace: bool = False) -> TrafficResult:
+    """Run one traffic experiment.
 
+    With ``p.slo_target_us > 0`` the result's ``extra["slo"]`` carries
+    the SLO windows, the run summary and anomaly flags; ``trace=True``
+    arms the runtime's flight recorder (``extra["events"]``).  With a
+    non-empty link trace, ``extra["noisy_links"]`` lists the noisiest
+    links and ``extra["policy"]`` the repair policy's decisions."""
+    log = EventLog() if trace else None
+    rt = Runtime(_runtime_config(p, log))
+    sim = rt.sim
+    n = p.per_client()
+    tpn = p.nclients // p.nnodes
+    zipf = ZipfianKeys(p.nkeys, p.zipf_s)
+    arrivals = PoissonArrivals(p.mean_gap_us)
+    dues, keys, puts = [], [], []
+    for c in range(p.nclients):
+        rng = seeded_rng(p.seed, _STREAM, c)
+        dues.append(arrivals.schedule(rng, n))
+        keys.append(zipf.draw(rng, n).tolist())
+        puts.append((rng.random(n) < p.put_frac).tolist())
+    locks = [rt.alloc_lock(owner_thread=(i * tpn) % p.nclients)
+             for i in range(_NLOCKS)]
 
-def run_kv_traffic(params: TrafficParams, nshards: int = 1, *,
-                   mode: str = "inproc", mp_context=None,
-                   trace: bool = False,
-                   trace_max_events=None) -> TrafficResult:
-    """Run one traffic experiment under ``nshards`` shards and merge
-    the per-shard outputs into a layout-invariant result.
-
-    With ``params.slo_target_us > 0`` the result's ``extra["slo"]``
-    carries merged SLO windows, the run summary and anomaly flags;
-    ``trace=True`` arms the per-shard flight recorders (packed events
-    land on ``extra["run"].shard_events``).  Both are layout-invariant
-    and leave the simulation bit-identical."""
-    if nshards > params.nnodes:
-        raise ValueError(
-            f"nshards={nshards} exceeds {params.nnodes} nodes")
-    m = MACHINES[params.machine]
-    part = partition_nodes(params.nnodes, nshards)
-    la = lookahead_matrix(m, params.nnodes, part)
-    sharded = ShardedSimulator(nshards, lookahead=la, mode=mode,
-                               mp_context=mp_context, trace=trace,
-                               trace_max_events=trace_max_events)
-    run = sharded.run(build_traffic_shard,
-                      dict(params=params.__dict__.copy()))
     hist = np.zeros(HIST_BINS, dtype=np.int64)
     hist_hit = np.zeros(HIST_BINS, dtype=np.int64)
     hist_miss = np.zeros(HIST_BINS, dtype=np.int64)
-    counts = {"requests": 0, "hits": 0, "misses": 0, "conns": 0,
-              "puts": 0, "gets": 0, "failures": 0}
-    digests = {}
-    monitors = []
-    link_batches = []
-    decisions = []
-    have_policy = False
-    for out in run.outputs:
-        hist += np.asarray(out["hist"])
-        hist_hit += np.asarray(out["hist_hit"])
-        hist_miss += np.asarray(out["hist_miss"])
-        for k in counts:
-            counts[k] += out["counts"][k]
-        digests.update(out["digests"])
-        if out.get("slo") is not None:
-            monitors.append(out["slo"])
-        if out.get("links") is not None:
-            link_batches.append(out["links"].link_totals())
-        if out.get("decisions") is not None:
-            have_policy = True
-            decisions.extend(out["decisions"])
+    counts = {"requests": 0, "failures": 0, "hits": 0, "misses": 0,
+              "puts": 0, "gets": 0}
+    slo = (SLOMonitor(p.slo_target_us, p.slo_window_us)
+           if p.slo_target_us > 0 else None)
+    if slo is not None and rt.policy is not None:
+        record = rt.policy.on_decision
+
+        def on_decision(d: dict) -> None:
+            record(d)
+            slo.observe_policy_action(d["t_us"])
+        rt.policy.on_decision = on_decision
+    #: Requests each client has finished, and the barrier release time
+    #: the arrival schedules count from (the in-flight gauge's inputs).
+    done = [0] * p.nclients
+    t_start = 0.0
+
+    def inflight(node: int, now: float) -> int:
+        """Requests due but unfinished on ``node``'s clients."""
+        lo = node * tpn
+        return sum(int(np.searchsorted(dues[c], now - t_start,
+                                       side="right")) - done[c]
+                   for c in range(lo, lo + tpn))
+
+    def client(th):
+        nonlocal t_start
+        store = yield from kv_create(th, p.nbuckets, p.slots_per_bucket,
+                                     locks=locks)
+        yield from th.barrier()
+        t_start = sim.now
+        c = th.id
+        due_at, ks, is_put = dues[c], keys[c], puts[c]
+        for i in range(n):
+            due = t_start + float(due_at[i])
+            if due > sim.now:
+                yield from th.compute(due - sim.now)
+            rdma0, am0 = th.rdma_ops, th.am_ops
+            try:
+                if is_put[i]:
+                    yield from store.put(th, ks[i], i + 1)
+                else:
+                    yield from store.get(th, ks[i])
+            except ReliabilityError:
+                counts["failures"] += 1
+            else:
+                fct = sim.now - due
+                b = _bin_of(fct)
+                hist[b] += 1
+                missed = th.am_ops > am0
+                hit = not missed and th.rdma_ops > rdma0
+                if missed:
+                    hist_miss[b] += 1
+                    counts["misses"] += 1
+                elif hit:
+                    hist_hit[b] += 1
+                    counts["hits"] += 1
+                counts["requests"] += 1
+                counts["puts" if is_put[i] else "gets"] += 1
+                if slo is not None:
+                    slo.observe(sim.now, fct, hit=hit,
+                                inflight=inflight(th.node.id, sim.now))
+            done[c] += 1
+
+    rt.spawn(client)
+    run = rt.run()
     extra = {"run": run}
-    if link_batches:
-        extra["links"] = HealthTracker.merge_totals(link_batches)
-    if have_policy:
-        decisions.sort(key=lambda d: (d["t_us"], d["src"], d["dst"],
-                                      d["action"]))
+    if log is not None:
+        extra["events"] = log
+    if rt.faults is not None:
+        extra["noisy_links"] = run.metrics.noisy_links()
+    if rt.policy is not None:
         extra["policy"] = {
-            "name": params.repair_policy,
-            "decisions": decisions,
-            "digest": decisions_digest(decisions),
+            "name": p.repair_policy,
+            "decisions": rt.policy.decisions,
+            "digest": decisions_digest(rt.policy.decisions),
         }
-    if monitors:
-        windows = SLOMonitor.merge_window_dicts(
-            [mon.export() for mon in monitors])
+    if slo is not None:
+        windows = slo.export()
         extra["slo"] = {
-            "target_us": params.slo_target_us,
-            "window_us": params.slo_window_us,
+            "target_us": p.slo_target_us,
+            "window_us": p.slo_window_us,
             "windows": windows,
-            "summary": slo_summary(windows,
-                                   target_us=params.slo_target_us,
-                                   window_us=params.slo_window_us),
+            "summary": slo_summary(windows, target_us=p.slo_target_us,
+                                   window_us=p.slo_window_us),
             "anomalies": detect_anomalies(
-                windows, target_us=params.slo_target_us,
-                window_us=params.slo_window_us),
+                windows, target_us=p.slo_target_us,
+                window_us=p.slo_window_us),
         }
     return TrafficResult(
-        requests=counts["requests"], hits=counts["hits"],
-        misses=counts["misses"], conns=counts["conns"],
+        requests=counts["requests"], failures=counts["failures"],
+        hits=counts["hits"], misses=counts["misses"],
         puts=counts["puts"], gets=counts["gets"], hist=hist,
-        hist_hit=hist_hit, hist_miss=hist_miss, digests=digests,
-        now=run.now, events=run.events, extra=extra)
+        hist_hit=hist_hit, hist_miss=hist_miss, now=sim.now,
+        events=run.sim_events, extra=extra)

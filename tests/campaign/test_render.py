@@ -29,7 +29,7 @@ def test_cdf_figure_empty_series():
 
 def test_render_campaign_writes_figures(tmp_path):
     kv_payload = {
-        "zipf_s": 0.9, "shards": 1, "requests": 100, "hit_rate": 0.2,
+        "zipf_s": 0.9, "requests": 100, "hit_rate": 0.2,
         "p50_us": 16.4, "p99_us": 25.0,
         "fct_cdf": [[10.0, 0.5], [30.0, 1.0]],
     }

@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.faults import (LinkRule, LinkTrace, PROFILES, TraceSegment,
-                          fate_u01, make_trace, resolve_profile,
-                          resolve_trace, sniff_trace_json)
-from repro.faults.trace import TRACE_SHAPES, fate_hash
+                          make_trace, resolve_profile, resolve_trace,
+                          sniff_trace_json)
+from repro.faults.trace import TRACE_SHAPES
 
 
 # ---------------------------------------------------------------------------
@@ -115,29 +115,6 @@ def test_generators_are_seed_deterministic():
 def test_make_trace_unknown_shape():
     with pytest.raises(ValueError, match="unknown trace shape"):
         make_trace("meteor", 8, 0)
-
-
-# ---------------------------------------------------------------------------
-# Fate hashing
-# ---------------------------------------------------------------------------
-
-def test_fate_u01_is_pure_and_order_sensitive():
-    assert fate_u01(1, 2, 3) == fate_u01(1, 2, 3)
-    assert fate_u01(1, 2, 3) != fate_u01(3, 2, 1)
-    assert 0.0 <= fate_u01(0) < 1.0
-
-
-@given(st.lists(st.integers(min_value=0, max_value=2 ** 62),
-                min_size=1, max_size=6))
-@settings(max_examples=200, deadline=None)
-def test_fate_hash_stays_in_64_bits_and_spreads(keys):
-    h = fate_hash(*keys)
-    assert 0 <= h < 2 ** 64
-    assert fate_hash(*keys) == h
-    # flipping any one key moves the hash (avalanche sanity)
-    bumped = list(keys)
-    bumped[0] += 1
-    assert fate_hash(*bumped) != h
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """The unified run report: CLI round trips through real run
-directories produced by ``trace --shards`` and ``kvtraffic
---trace-dir``, plus unit coverage of the analyzers."""
+directories produced by ``trace`` and ``kvtraffic --trace-dir``, plus
+unit coverage of the analyzers."""
 
 import json
 
@@ -12,7 +12,6 @@ from repro.obs.report import (
     build_report,
     op_latency_table,
     render_report,
-    shard_rollups,
 )
 
 
@@ -31,17 +30,6 @@ def test_op_latency_table_pairs_spans():
     assert row["max_us"] == pytest.approx(4.0)
 
 
-def test_shard_rollups_group_by_shard_attr():
-    log = EventLog(enabled=True)
-    log.emit(1.0, OP_END, op=1, shard=0)
-    log.emit(2.0, OP_END, op=2, shard=1)
-    log.emit(3.0, "other", shard=1)
-    rows = shard_rollups(log)
-    assert [r["shard"] for r in rows] == [0, 1]
-    assert rows[1]["events"] == 2 and rows[1]["ops"] == 1
-    assert rows[1]["t_last_us"] == 3.0
-
-
 def test_report_on_empty_dir(tmp_path, capsys):
     assert main(["report", str(tmp_path)]) == 0
     out = capsys.readouterr().out
@@ -55,57 +43,51 @@ def test_report_rejects_missing_dir(tmp_path):
         main(["report", str(tmp_path / "nope")])
 
 
-@pytest.mark.shard
-def test_trace_shards_then_report_round_trip(tmp_path, capsys):
+def test_trace_then_report_round_trip(tmp_path, capsys):
     run_dir = tmp_path / "run"
-    assert main(["trace", "field", "--shards", "2", "--nthreads", "16",
+    assert main(["trace", "field", "--quick", "--format", "jsonl",
                  "--out", str(run_dir)]) == 0
-    out = capsys.readouterr().out
-    assert "linked" in out
-    assert (run_dir / "field.trace.json").exists()
-
+    capsys.readouterr()
     assert main(["report", str(run_dir)]) == 0
     out = capsys.readouterr().out
-    assert "cross-shard:" in out
-    assert "0 unpaired" in out
+    assert "field.events.jsonl" in out
     report = json.loads((run_dir / "report.json").read_text())
     (ev,) = report["events"]
-    assert {r["shard"] for r in ev["shards"]} == {0, 1}
-    assert ev["xshard"]["linked"] == ev["xshard"]["msgs"] > 0
-    names = {r["name"] for r in ev["ops"]}
-    assert {"fput", "probe", "field_barrier"} <= names
+    assert {"barrier", "put"} <= {r["name"] for r in ev["ops"]}
 
 
-@pytest.mark.shard
 def test_kvtraffic_slo_trace_then_report_round_trip(tmp_path, capsys):
     run_dir = tmp_path / "kvrun"
-    assert main(["kvtraffic", "--requests", "3000", "--shards", "2",
+    assert main(["kvtraffic", "--requests", "3000",
                  "--slo-target-us", "30", "--slo-window-us", "200",
                  "--trace-dir", str(run_dir)]) == 0
     out = capsys.readouterr().out
     assert "SLO: burn rate" in out
     for name in ("kvtraffic.events.jsonl", "kvtraffic.trace.json",
-                 "slo.json", "shard_summary.json"):
+                 "slo.json"):
         assert (run_dir / name).exists(), name
 
     assert main(["report", str(run_dir)]) == 0
     out = capsys.readouterr().out
     assert "SLO: target 30.0us" in out
     assert "burn rate" in out
-    assert "kv_req" in out
+    assert "kv_get" in out
     report = json.loads((run_dir / "report.json").read_text())
     assert report["slo"]["summary"]["count"] > 0
-    assert report["shard_summary"]["shards"] == 2
     assert isinstance(report["slo"]["anomalies"], list)
 
 
-def test_trace_shards_rejects_incompatible_flags():
-    with pytest.raises(SystemExit):
-        main(["trace", "pointer", "--shards", "2"])
-    with pytest.raises(SystemExit):
-        main(["trace", "field", "--shards", "2", "--breakdown"])
-    with pytest.raises(SystemExit):
-        main(["trace", "field", "--shards", "2", "--format", "csv"])
-    with pytest.raises(SystemExit):
-        main(["trace", "field", "--shards", "2",
-              "--fault-profile", "drop"])
+def test_kvtraffic_link_trace_then_report_round_trip(tmp_path, capsys):
+    run_dir = tmp_path / "lossy"
+    assert main(["kvtraffic", "--requests", "2000", "--link-trace",
+                 "flap", "--repair-policy", "disable_and_repair",
+                 "--trace-dir", str(run_dir)]) == 0
+    out = capsys.readouterr().out
+    assert "noisy links:" in out
+    assert "policy disable_and_repair" in out
+    doc = json.loads((run_dir / "links.json").read_text())
+    assert doc["policy"]["name"] == "disable_and_repair"
+    assert main(["report", str(run_dir)]) == 0
+    out = capsys.readouterr().out
+    assert "links:" in out
+    assert "policy disable_and_repair" in out

@@ -1,6 +1,7 @@
-"""SLO monitor: window bucketing, burn-rate math, merge invariance
-(the property that makes sharded monitoring layout-invariant) and the
-threshold anomaly detectors."""
+"""SLO monitor: window bucketing, burn-rate math and the threshold
+anomaly detectors."""
+
+import functools
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -64,25 +65,6 @@ def test_window_quantiles_bound_the_samples():
     assert w.p99() >= 32.0
     assert w.p99() <= 32.0 * 1.07   # bin width ~6.5% at 256 bins
     assert hist_quantile([0] * SLO_HIST_BINS, 0.99) == 0.0
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.lists(st.tuples(st.floats(0.0, 1e5), st.floats(0.2, 1e4),
-                          st.booleans()),
-                min_size=1, max_size=300),
-       st.integers(1, 4))
-def test_merge_is_layout_invariant(obs, nshards):
-    """Splitting one observation stream across N monitors and merging
-    their window exports equals the single-monitor export — the sharded
-    SLO contract."""
-    whole = SLOMonitor(target_us=25.0, window_us=500.0)
-    parts = [SLOMonitor(target_us=25.0, window_us=500.0)
-             for _ in range(nshards)]
-    for i, (t, lat, hit) in enumerate(obs):
-        whole.observe(t, lat, hit=hit, inflight=i % 5)
-        parts[i % nshards].observe(t, lat, hit=hit, inflight=i % 5)
-    merged = SLOMonitor.merge_window_dicts([p.export() for p in parts])
-    assert merged == whole.export()
 
 
 @settings(max_examples=50, deadline=None)
@@ -167,7 +149,7 @@ def test_render_slo_mentions_flags_and_truncation():
     assert "no anomaly flags" in quiet
 
 
-def test_policy_actions_ride_windows_merge_and_summary():
+def test_policy_actions_ride_windows_and_summary():
     mon = SLOMonitor(target_us=10.0, window_us=100.0)
     mon.observe(5.0, 4.0)
     mon.observe_policy_action(50.0)
@@ -176,14 +158,8 @@ def test_policy_actions_ride_windows_merge_and_summary():
     by_idx = {w["index"]: w for w in windows}
     assert by_idx[0]["policy_actions"] == 1
     assert by_idx[1]["policy_actions"] == 1
-    # merging shard exports sums the action counters
-    other = SLOMonitor(target_us=10.0, window_us=100.0)
-    other.observe_policy_action(60.0)
-    merged = SLOMonitor.merge_window_dicts([windows, other.export()])
-    m = {w["index"]: w for w in merged}
-    assert m[0]["policy_actions"] == 2
-    s = slo_summary(merged, target_us=10.0, window_us=100.0)
-    assert s["policy_actions"] == 3
+    s = slo_summary(windows, target_us=10.0, window_us=100.0)
+    assert s["policy_actions"] == 2
 
 
 def test_detect_policy_flap():
@@ -197,3 +173,44 @@ def test_detect_policy_flap():
     flaps = [f for f in flags if f["kind"] == "policy_flap"]
     assert [f["index"] for f in flaps] == [1]
     assert flaps[0]["value"] == 4.0
+
+
+# ---------------------------------------------------------------------------
+# The detectors on real-path KV traffic
+# ---------------------------------------------------------------------------
+
+#: SLO windows of 2 ms: ~900 completions each at the unsaturated gap,
+#: so a window p99 is a tail estimate rather than one unlucky request.
+_KV_WINDOW_US = 2000.0
+
+
+@functools.lru_cache(maxsize=None)
+def _kv_slo(gap_us: float) -> dict:
+    from repro.workloads.kv_traffic import TrafficParams, run_kv_traffic
+    res = run_kv_traffic(TrafficParams(
+        requests=16_000, mean_gap_us=gap_us, seed=1,
+        slo_target_us=100.0, slo_window_us=_KV_WINDOW_US))
+    return res.extra["slo"]
+
+
+def test_unsaturated_kv_traffic_trips_no_load_detector():
+    kinds = {a["kind"] for a in _kv_slo(70.0)["anomalies"]}
+    assert not kinds & {"backlog_spike", "p99_regression"}
+
+
+def test_saturating_kv_traffic_burns_the_slo():
+    calm, busy = _kv_slo(70.0), _kv_slo(8.75)
+    assert busy["summary"]["burn_rate"] > 10 * calm["summary"]["burn_rate"]
+    assert (max(w["max_inflight"] for w in busy["windows"])
+            > 10 * max(w["max_inflight"] for w in calm["windows"]))
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "steady overload grows the backlog and the tail linearly until the "
+    "arrivals stop, so the peak stays near 2x the median window peak "
+    "(backlog_spike needs 3x) and each window's p99 near 2x the median "
+    "of the windows before it (p99_regression needs more); both flag "
+    "a step in load, which one constant-gap run does not contain"))
+def test_saturating_kv_traffic_trips_backlog_and_p99_detectors():
+    kinds = {a["kind"] for a in _kv_slo(8.75)["anomalies"]}
+    assert {"backlog_spike", "p99_regression"} <= kinds

@@ -1,18 +1,13 @@
-"""``RuntimeMetrics.summary()`` must be a pure read (satellite 3).
+"""``RuntimeMetrics.summary()`` must be a pure read.
 
-The rollups fold shard metrics with fresh ``RunningStats`` every call;
-a regression that mutates state while summarizing (or double-counts on
-re-attach) would silently skew every table the harness renders.
+A regression that mutates state while summarizing would silently skew
+every table the harness renders.
 """
-
-import pytest
 
 from repro.network import GM_MARENOSTRUM
 from repro.runtime import Runtime, RuntimeConfig
 from repro.runtime.metrics import RuntimeMetrics
 from repro.service import kv_create
-from repro.testing import generate_service_program
-from repro.workloads.sharded import run_corpus_sharded
 
 
 def test_summary_idempotent_on_fresh_metrics():
@@ -39,19 +34,3 @@ def test_summary_idempotent_after_real_run():
     # fed by the summary call itself.
     assert rt.metrics.get_remote_digest.p50.count == \
         rt.metrics.get_remote_digest.p50.count
-
-
-@pytest.mark.shard
-def test_summary_idempotent_with_shard_rollups():
-    program = generate_service_program(3, n_ops=60)
-    out = run_corpus_sharded(program, 2)
-    m = RuntimeMetrics()
-    m.attach_shards(out["run"].metrics)
-    first = m.summary()
-    assert set(first) >= {"shards", "shard_events_total", "sync_rounds"}
-    assert first["shards"] == 2
-    assert first == m.summary()
-    # Re-attaching the same shard list replaces it — no double count.
-    m.attach_shards(out["run"].metrics)
-    assert m.summary() == first
-    assert m.shard_summary() == m.shard_summary()
