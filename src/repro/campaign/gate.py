@@ -1,10 +1,9 @@
-"""The shared ``--baseline`` regression gate for every bench.
+"""The shared ``--baseline`` regression gate for the baseline-gated
+benches (``bench_kv_service``, ``bench_lossy_fabric``).
 
-Each of the three benches used to carry (or lack) its own baseline
-check with subtly different semantics — sim_core had a private
-``check_baseline``, kv_service and lossy_fabric had none, and a
-missing baseline file was silently ignored.  This module is the one
-copy:
+Every bench used to carry (or lack) its own baseline check with subtly
+different semantics, and a missing baseline file was silently ignored.
+This module is the one copy:
 
 * a bench declares its gated quantities as :class:`GateMetric`\\ s —
   a name, an extractor mapping a report document to labelled scalar
@@ -20,8 +19,7 @@ copy:
   flagged ``skip_cross_mode`` are skipped with a note — the quick
   mixes are structurally different, not regressed.
 
-The numeric semantics of sim_core's old gate (20% tolerance, 35%
-cross-mode) are the defaults, so migrating changed no thresholds.
+The defaults are a 20% tolerance, widened to 35% across modes.
 """
 
 from __future__ import annotations

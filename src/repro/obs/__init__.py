@@ -4,8 +4,9 @@
 runtime: a structured :class:`EventLog` every protocol layer emits
 typed, timestamped, causally-linked events into, plus the analyzers
 and exporters on top — latency breakdowns (:mod:`repro.obs.breakdown`),
-Chrome-trace / JSONL export (:mod:`repro.obs.export`) and counter
-time-series sampling (:mod:`repro.obs.sampler`).
+Chrome-trace / JSONL / time-in-state CSV export
+(:mod:`repro.obs.export`) and counter time-series sampling
+(:mod:`repro.obs.sampler`).
 
 Enable it by passing an ``EventLog`` into
 :class:`~repro.runtime.runtime.RuntimeConfig` (or a DIS workload's
@@ -73,8 +74,10 @@ from repro.obs.export import (
     CHROME_PHASES,
     HANDLER_TID,
     dump_jsonl,
+    dump_state_csv,
     export_chrome,
     load_jsonl,
+    op_spans,
     validate_chrome,
 )
 from repro.obs.sampler import CounterSampler
@@ -101,6 +104,8 @@ __all__ = [
     "validate_chrome",
     "dump_jsonl",
     "load_jsonl",
+    "dump_state_csv",
+    "op_spans",
     "CHROME_PHASES",
     "HANDLER_TID",
     "REMOTE_PROTOS",

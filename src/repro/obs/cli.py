@@ -13,8 +13,8 @@ Artifacts land in ``--out`` (default ``trace-out/``):
   chrome``); open in chrome://tracing or Perfetto.  Validated before
   writing.
 * ``<workload>.events.jsonl`` — raw event stream (``--format jsonl``).
-* ``<workload>.state.csv``    — the legacy Paraver-style state
-  intervals (``--format csv``).
+* ``<workload>.state.csv``    — Paraver-style state intervals, one
+  ``thread,state,t0,t1`` row per op span (``--format csv``).
 * ``<workload>.breakdown.txt``— the latency decomposition table
   (``--breakdown``; also printed).
 """
@@ -29,7 +29,7 @@ from typing import Callable, Dict
 from repro.network.params import MACHINES
 from repro.obs.breakdown import collect_breakdowns, render_breakdown
 from repro.obs.events import EventLog, OP_END
-from repro.obs.export import dump_jsonl, export_chrome
+from repro.obs.export import dump_jsonl, dump_state_csv, export_chrome
 from repro.obs.sampler import CounterSampler
 
 FORMATS = ("chrome", "jsonl", "csv")
@@ -43,7 +43,7 @@ def _cli_nnodes(machine: str, nthreads: int) -> int:
 
 
 def _workload(name: str, quick: bool, machine: str, nthreads: int,
-              seed: int, events: EventLog, tracer,
+              seed: int, events: EventLog,
               fault_plan=None, link_trace=None,
               repair_policy=None) -> Callable:
     """Build a zero-argument runner for one DIS stressmark."""
@@ -63,7 +63,7 @@ def _workload(name: str, quick: bool, machine: str, nthreads: int,
     )
 
     kw = dict(machine=MACHINES[machine], nthreads=nthreads, seed=seed,
-              events=events, tracer=tracer, fault_plan=fault_plan,
+              events=events, fault_plan=fault_plan,
               link_trace=link_trace, repair_policy=repair_policy)
     if name == "pointer":
         p = PointerParams(**kw, nelems=1 << 10 if quick else 1 << 14,
@@ -146,10 +146,6 @@ def trace_main(argv) -> int:
     formats = args.formats or ["chrome", "jsonl"]
 
     log = EventLog(enabled=True, max_events=args.max_events)
-    tracer = None
-    if "csv" in formats:
-        from repro.trace import Tracer
-        tracer = Tracer()
     fault_plan = None
     if args.fault_profile is not None:
         from repro.faults import resolve_profile
@@ -173,7 +169,7 @@ def trace_main(argv) -> int:
                  "--fault-profile to observe")
 
     runner = _workload(args.workload, args.quick, args.machine,
-                       args.nthreads, args.seed, log, tracer,
+                       args.nthreads, args.seed, log,
                        fault_plan=fault_plan, link_trace=link_trace,
                        repair_policy=args.repair_policy)
 
@@ -216,10 +212,9 @@ def trace_main(argv) -> int:
         path = os.path.join(args.out, f"{args.workload}.events.jsonl")
         n = dump_jsonl(log, path)
         artifacts.append(f"{path} ({n} lines)")
-    if "csv" in formats and tracer is not None:
-        from repro.trace import dump_csv
+    if "csv" in formats:
         path = os.path.join(args.out, f"{args.workload}.state.csv")
-        n = dump_csv(tracer, path)
+        n = dump_state_csv(log, path)
         artifacts.append(f"{path} ({n} state intervals)")
 
     run = result.run

@@ -1,8 +1,10 @@
 """The flight recorder: typed, timestamped, causally-linked events.
 
-The interval tracer (:mod:`repro.trace`) answers "how long did thread
-3 spend in ``get:am``?"; it cannot answer "where did remote GET #4217
-spend its 14 µs?".  This module records *op-level* events: every
+A time-in-state view answers "how long did thread 3 spend in
+``get:am``?" (:func:`repro.obs.export.dump_state_csv` derives it from
+the ``op_begin``/``op_end`` spans recorded here); the full log also
+answers "where did remote GET #4217 spend its 14 µs?".  This module
+records *op-level* events: every
 protocol layer — op engine, bulk engine, address cache, pinned table,
 transport, progress engine — emits events tagged with a causal
 ``op_id`` allocated at operation begin, so one remote GET becomes a

@@ -10,6 +10,8 @@
 * :func:`dump_jsonl` / :func:`load_jsonl` move the raw event stream in
   and out of newline-delimited JSON for ad-hoc pandas work; the round
   trip reproduces an equivalent :class:`~repro.obs.events.EventLog`.
+* :func:`dump_state_csv` writes the Paraver-style time-in-state view
+  (section 4.6): one ``thread,state,t0,t1`` row per completed op span.
 * :func:`validate_chrome` is the schema check the CI smoke job (and
   the exporter itself) runs: phase letters, timestamp monotonicity,
   begin/end balance.
@@ -17,8 +19,9 @@
 
 from __future__ import annotations
 
+import csv
 import json
-from typing import Dict, List, Optional, TextIO, Tuple, Union
+from typing import Dict, Iterator, List, Optional, TextIO, Tuple, Union
 
 from repro.obs.events import (
     AM_REPLY_SEND,
@@ -48,6 +51,22 @@ def _span_name(begin: TraceEvent, end: Optional[TraceEvent]) -> str:
     return f"{name}:{proto}" if proto else name
 
 
+def op_spans(log: EventLog) -> Iterator[Tuple[TraceEvent, TraceEvent]]:
+    """Every completed op span as a ``(begin, end)`` pair, in end order.
+
+    An ``op_end`` whose ``op_begin`` was never recorded (dropped at the
+    ``max_events`` cap) yields nothing.
+    """
+    begins: Dict[int, TraceEvent] = {}
+    for e in log:
+        if e.kind == OP_BEGIN:
+            begins[e.op] = e
+        elif e.kind == OP_END:
+            b = begins.pop(e.op, None)
+            if b is not None:
+                yield b, e
+
+
 def export_chrome(log: EventLog, dest: Union[str, TextIO, None] = None,
                   counters: Optional[list] = None) -> dict:
     """Build (and optionally write) the Chrome trace-event document.
@@ -61,7 +80,6 @@ def export_chrome(log: EventLog, dest: Union[str, TextIO, None] = None,
     events: List[dict] = []
     meta: List[dict] = []
     seen_tracks: set = set()
-    begins: Dict[int, TraceEvent] = {}
     handler_open: Dict[Tuple[int, int], List[TraceEvent]] = {}
     piggy_ops: set = set()
 
@@ -76,32 +94,7 @@ def export_chrome(log: EventLog, dest: Union[str, TextIO, None] = None,
                      "tid": tid, "ts": 0, "args": {"name": name}})
 
     for e in log:
-        if e.kind == OP_BEGIN:
-            begins[e.op] = e
-        elif e.kind == OP_END:
-            b = begins.pop(e.op, None)
-            if b is None:
-                continue
-            pid, tid = max(b.node, 0), max(b.thread, 0)
-            track(pid, tid, f"upc thread {tid}")
-            name = _span_name(b, e)
-            args = {"op_id": e.op}
-            for k in ("nbytes", "proto", "index", "segments", "parent"):
-                v = e.attrs.get(k, b.attrs.get(k))
-                if v is not None:
-                    args[k] = v
-            if e.op in piggy_ops:
-                args["piggyback"] = True
-            if b.attrs.get("name") in _NESTED_NAMES:
-                events.append({"ph": "B", "name": name, "pid": pid,
-                               "tid": tid, "ts": b.t, "args": args})
-                events.append({"ph": "E", "name": name, "pid": pid,
-                               "tid": tid, "ts": e.t, "args": {}})
-            else:
-                events.append({"ph": "X", "name": name, "pid": pid,
-                               "tid": tid, "ts": b.t,
-                               "dur": max(e.t - b.t, 0.0), "args": args})
-        elif e.kind == HANDLER_BEGIN:
+        if e.kind == HANDLER_BEGIN:
             handler_open.setdefault((e.op, e.node), []).append(e)
         elif e.kind == HANDLER_END:
             stack = handler_open.get((e.op, e.node))
@@ -118,6 +111,27 @@ def export_chrome(log: EventLog, dest: Union[str, TextIO, None] = None,
             })
         elif e.kind == AM_REPLY_SEND and e.attrs.get("piggyback"):
             piggy_ops.add(e.op)
+
+    for b, e in op_spans(log):
+        pid, tid = max(b.node, 0), max(b.thread, 0)
+        track(pid, tid, f"upc thread {tid}")
+        name = _span_name(b, e)
+        args = {"op_id": e.op}
+        for k in ("nbytes", "proto", "index", "segments", "parent"):
+            v = e.attrs.get(k, b.attrs.get(k))
+            if v is not None:
+                args[k] = v
+        if e.op in piggy_ops:
+            args["piggyback"] = True
+        if b.attrs.get("name") in _NESTED_NAMES:
+            events.append({"ph": "B", "name": name, "pid": pid,
+                           "tid": tid, "ts": b.t, "args": args})
+            events.append({"ph": "E", "name": name, "pid": pid,
+                           "tid": tid, "ts": e.t, "args": {}})
+        else:
+            events.append({"ph": "X", "name": name, "pid": pid,
+                           "tid": tid, "ts": b.t,
+                           "dur": max(e.t - b.t, 0.0), "args": args})
 
     if counters:
         for t, node, name, value in counters:
@@ -195,6 +209,33 @@ def validate_chrome(doc: object) -> List[str]:
             problems.append(
                 f"track {key}: {len(stack)} unclosed B event(s)")
     return problems
+
+
+# -- CSV ---------------------------------------------------------------
+
+#: Column header of :func:`dump_state_csv`.
+STATE_CSV_HEADER = ("thread", "state", "t0", "t1")
+
+
+def dump_state_csv(log: EventLog, dest: Union[str, TextIO]) -> int:
+    """Time-in-state intervals, one row per completed op span.
+
+    The state is the span name (``compute``, ``barrier``,
+    ``get:rdma``, ``put:am``, ``bulk_get:bulk``, ...); times are
+    ``repr`` floats so the file round-trips exactly.  Outer bulk spans
+    and their per-segment sub-op spans both appear, so per-state sums
+    can overlap in time on one thread.  Returns the number of rows.
+    """
+    if isinstance(dest, str):
+        with open(dest, "w", newline="", encoding="utf-8") as fh:
+            return dump_state_csv(log, fh)
+    writer = csv.writer(dest)
+    writer.writerow(STATE_CSV_HEADER)
+    n = 0
+    for b, e in op_spans(log):
+        writer.writerow([b.thread, _span_name(b, e), repr(b.t), repr(e.t)])
+        n += 1
+    return n
 
 
 # -- JSONL -------------------------------------------------------------

@@ -4,35 +4,25 @@ Times are floats in microseconds.  Events scheduled for the same time
 are processed in schedule order (a monotonically increasing sequence
 number breaks heap ties), which makes runs fully deterministic.
 
-Two interchangeable cores live behind the same API:
+Heap entries are mutable ``[time, seq, event]`` records drawn from a
+free list (no per-event tuple allocation, but still C-speed
+lexicographic comparison), zero-delay events bypass the heap entirely
+through a FIFO *fast lane* (a deque), and kernel-internal wait points
+reuse ``_PooledEvent`` objects from a free list instead of allocating a
+``Timeout`` per message hop.
 
-``Simulator(pooled=True)`` (the default)
-    The fast core.  Heap entries are mutable ``[time, seq, event]``
-    records drawn from a free list (no per-event tuple allocation, but
-    still C-speed lexicographic comparison), zero-delay events bypass
-    the heap entirely through a FIFO *fast lane* (a deque), and
-    kernel-internal wait points reuse ``_PooledEvent`` objects from a
-    free list instead of allocating a ``Timeout`` per message hop.
-
-``Simulator(pooled=False)``
-    The legacy core: immutable tuple heap entries, no lane, no object
-    reuse, eager event names.  Kept as the reference implementation —
-    the benchmark harness and the determinism tests run both cores on
-    identical workloads and require bit-identical schedules.
-
-Determinism is preserved because dispatch order is *exactly* the total
-order on ``(time, seq)`` in both cores: the fast lane only ever holds
-entries whose time equals ``now`` (a zero delay cannot point into the
-future, and the lane drains before the clock advances), so the next
-event is the lane head unless the heap top carries the same timestamp
-with a smaller sequence number.
+Dispatch order is *exactly* the total order on ``(time, seq)``: the
+fast lane only ever holds entries whose time equals ``now`` (a zero
+delay cannot point into the future, and the lane drains before the
+clock advances), so the next event is the lane head unless the heap
+top carries the same timestamp with a smaller sequence number.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Any, Generator, List, Optional, Tuple
+from typing import Any, Generator, List, Optional
 
 from repro.sim.errors import SimulationError
 from repro.sim.event import PENDING, SCHEDULED, Event, Timeout, _PooledEvent
@@ -42,22 +32,19 @@ from repro.sim.process import Process
 class Simulator:
     """Owns the clock and the pending-event heap."""
 
-    __slots__ = ("now", "_heap", "_seq", "_nevents", "pooled",
+    __slots__ = ("now", "_heap", "_seq", "_nevents",
                  "_lane", "_entry_pool", "_event_pool")
 
-    def __init__(self, pooled: bool = True) -> None:
+    def __init__(self) -> None:
         #: Current virtual time in microseconds.
         self.now: float = 0.0
         self._heap: List[Any] = []
         self._seq = 0
         #: Total number of events processed (exposed for perf metrics).
         self._nevents = 0
-        #: Fast core (pooled entries/events + zero-delay lane) when
-        #: True; the legacy tuple-heap core when False.
-        self.pooled = pooled
         # Zero-delay fast lane: entries scheduled with delay == 0 at
         # the current clock value, dispatched FIFO without touching
-        # the heap.  Always empty in legacy mode.
+        # the heap.
         self._lane: Any = deque()
         # Free lists: recycled [t, seq, event] heap records and
         # recycled kernel-internal events.
@@ -86,11 +73,8 @@ class Simulator:
         callbacks — it is recycled by the dispatch loop immediately
         after processing.  Every ``yield sim.sleep(x)`` in the runtime
         and network layers satisfies this (the yielding process is the
-        only waiter).  In legacy mode this degrades to a plain
-        :class:`Timeout` so both cores see the same schedule.
+        only waiter).
         """
-        if not self.pooled:
-            return Timeout(self, delay, value=value)
         pool = self._event_pool
         if pool:
             ev = pool.pop()
@@ -102,7 +86,7 @@ class Simulator:
             ev._status = SCHEDULED
             ev._value = value
         # Scheduling inlined (this is the hottest factory in the
-        # kernel): identical to _schedule's pooled branch.
+        # kernel): identical to _schedule.
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
         seq = self._seq + 1
@@ -126,11 +110,8 @@ class Simulator:
 
         Same recycling contract as :meth:`sleep`, for events whose
         outcome is decided later by a third party (resource grants,
-        progress-engine wakeups).  Legacy mode returns a plain
-        :class:`Event`.
+        progress-engine wakeups).
         """
-        if not self.pooled:
-            return Event(self, name=name)
         pool = self._event_pool
         if pool:
             ev = pool.pop()
@@ -151,21 +132,18 @@ class Simulator:
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
         self._seq += 1
-        if self.pooled:
-            pool = self._entry_pool
-            if pool:
-                entry = pool.pop()
-                entry[0] = self.now + delay
-                entry[1] = self._seq
-                entry[2] = event
-            else:
-                entry = [self.now + delay, self._seq, event]
-            if delay == 0.0:
-                self._lane.append(entry)
-            else:
-                heapq.heappush(self._heap, entry)
+        pool = self._entry_pool
+        if pool:
+            entry = pool.pop()
+            entry[0] = self.now + delay
+            entry[1] = self._seq
+            entry[2] = event
         else:
-            heapq.heappush(self._heap, (self.now + delay, self._seq, event))
+            entry = [self.now + delay, self._seq, event]
+        if delay == 0.0:
+            self._lane.append(entry)
+        else:
+            heapq.heappush(self._heap, entry)
 
     # -- execution ----------------------------------------------------
 
@@ -209,9 +187,8 @@ class Simulator:
         self.now = entry[0]
         self._nevents += 1
         event = entry[2]
-        if self.pooled:
-            entry[2] = None
-            self._entry_pool.append(entry)
+        entry[2] = None
+        self._entry_pool.append(entry)
         event._process()
         if event.__class__ is _PooledEvent:
             self._event_pool.append(event)
@@ -222,35 +199,19 @@ class Simulator:
         ``max_events`` have been processed (a runaway guard for tests).
 
         When stopping at ``until`` the clock is advanced to exactly
-        ``until`` even if no event sits there.
+        ``until`` even if no event sits there.  The clock never moves
+        backwards: ``until`` earlier than ``now`` is an error.
         """
-        if self.pooled:
-            if until is None and max_events is None:
-                self._run_fast()
-                return
-            budget = max_events if max_events is not None else -1
-            while self._heap or self._lane:
-                t = self.peek()
-                if until is not None and t > until:
-                    self.now = until
-                    return
-                if budget == 0:
-                    raise SimulationError(
-                        f"max_events exhausted: {self._nevents} events "
-                        f"processed, next event pending at t={t:.3f}"
-                    )
-                budget -= 1
-                self.step()
-            if until is not None and self.now < until:
-                self.now = until
+        if until is not None and until < self.now:
+            raise SimulationError(
+                f"cannot run until t={until:.3f}: the clock is already "
+                f"at t={self.now:.3f}")
+        if until is None and max_events is None:
+            self._run_fast()
             return
-        # Legacy core: tuple heap, no lane.  The loop body mirrors the
-        # original step-per-event dispatch so benchmark comparisons
-        # against the unpooled core measure the historical cost.
         budget = max_events if max_events is not None else -1
-        heap = self._heap
-        while heap:
-            t = heap[0][0]
+        while self._heap or self._lane:
+            t = self.peek()
             if until is not None and t > until:
                 self.now = until
                 return
@@ -260,10 +221,7 @@ class Simulator:
                     f"processed, next event pending at t={t:.3f}"
                 )
             budget -= 1
-            entry = heapq.heappop(heap)
-            self.now = entry[0]
-            self._nevents += 1
-            entry[2]._process()
+            self.step()
         if until is not None and self.now < until:
             self.now = until
 

@@ -33,8 +33,6 @@ class DISBase:
     bulk_max_inflight: int = 8
     bulk_max_coalesce_bytes: int = 64 * 1024
     seed: int = 0
-    #: Optional Paraver-style tracer (see :mod:`repro.trace`).
-    tracer: Optional[Any] = None
     #: Optional flight recorder (an :class:`repro.obs.EventLog`).
     events: Optional[Any] = None
     #: Optional deterministic fault plan / reliability knobs (see
@@ -46,10 +44,6 @@ class DISBase:
     #: it (a :data:`repro.faults.POLICIES` name).
     link_trace: Optional[Any] = None
     repair_policy: Optional[str] = None
-    #: Event-core selection: True runs the pooled fast core, False the
-    #: legacy reference core (see repro.sim.simulator).  Schedules are
-    #: bit-identical; benchmarks flip this to measure the speedup.
-    pooled_core: bool = True
 
     def runtime(self) -> Runtime:
         cfg = RuntimeConfig(
@@ -67,15 +61,13 @@ class DISBase:
             bulk_max_inflight=self.bulk_max_inflight,
             bulk_max_coalesce_bytes=self.bulk_max_coalesce_bytes,
             seed=self.seed,
-            tracer=self.tracer,
             events=self.events,
             fault_plan=self.fault_plan,
             reliability=self.reliability,
             link_trace=self.link_trace,
             repair_policy=self.repair_policy,
         )
-        from repro.sim.simulator import Simulator
-        return Runtime(cfg, sim=Simulator(pooled=self.pooled_core))
+        return Runtime(cfg)
 
 
 @dataclass
